@@ -26,7 +26,13 @@ matter what the window was, so the projection commutes with the window
 update (dually for the smallest side, where the pair "components so
 far, entries below k" is tracked).  The projected chain is run for
 every threshold at once as a numpy table, giving CDF columns whose
-differences are the PMF.
+differences are the PMF.  It is the exp-log schema of Flajolet and
+Sedgewick, Analytic Combinatorics, II and VII, on a small graph of
+levels: one (level, m) step is a masked mat-vec over the size of the
+new component, and with the uniform permutation split 1/m it becomes
+the prefix sums of Knuth and Trabb Pardo (1976).  The chain runs in
+float64 for both kinds and every n; ktp reads its longest-side float
+tables from it.
 
 All computations are deterministic: summation orders are fixed, and
 results do not depend on call order.  Engines keyed by (kind, side)
@@ -202,85 +208,121 @@ def clear_memo() -> None:
 _MASS_TOL = 1e-9
 
 
+def _chain_levels(side: Side, r: int) -> tuple[dict, object]:
+    """Level graph of the projected chain, and its top level.
+
+    Each level maps to (low, high, start): the level that a new component
+    of size j <= cut[k] leads to, the level that a larger one leads to
+    (None: the identically-zero level), and the level's value on the empty
+    object.  Every edge goes to a level that sorts no later, so sorted()
+    order is a dependency order; the only cycles are self-loops.
+    """
+    if side is Side.LARGEST:
+        # level b: at most b components of size > k
+        return {b: (b, b - 1 if b else None, 1.0) for b in range(r)}, r - 1
+    # level (a, b): at least a components, fewer than b of size < k
+    graph: dict = {}
+    stack = [(r, r)]
+    while stack:
+        a, b = stack.pop()
+        if (a, b) in graph:
+            continue
+        below = max(a - 1, 0)
+        low = (below, b - 1) if b > 1 else None  # component below the threshold
+        graph[(a, b)] = (low, (below, b), 1.0 if a == 0 else 0.0)
+        stack += [t for t in (low, (below, b)) if t is not None]
+    return graph, (r, r)
+
+
+def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int, k_max: int) -> np.ndarray:
+    """Top level of the chain as an (n_max+1, k_max+1) table, row m = size.
+
+    One (level, m) step is a masked mat-vec over the sizes j of the new
+    component; with the uniform permutation split 1/m it is a pair of
+    gathers from prefix sums along m instead.  Levels are built in
+    dependency order and dropped once their last reader is done.
+    """
+    graph, top = _chain_levels(side, r)
+    order = sorted(graph)
+    last_read = {t: i for i, level in enumerate(order) for t in graph[level][:2] if t is not None}
+    ks = np.arange(k_max + 1)
+    cut = ks if side is Side.LARGEST else np.maximum(ks - 1, 0)
+    width, rows = k_max + 1, n_max + 1
+    uniform = kind is ObjectKind.PERMUTATION
+    if uniform:
+        out = np.empty((rows, width))
+    else:
+        mask = np.arange(1, rows)[:, None] <= cut[None, :]  # mask[j-1, k]: j <= cut[k]
+        splits = [None] + [np.asarray(first_component_split(kind, m)) for m in range(1, rows)]
+        blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
+    built: dict = {}
+    for i, level in enumerate(order):
+        low, high, start = graph[level]
+        if uniform:
+            # built[level][i] = sum of the level's values at sizes < i
+            cum = built[level] = np.zeros((rows + 1, width))
+            cum[1] = start
+            lo, hi = built.get(low), built.get(high)
+            lo_flat = None if lo is None else lo.reshape(-1)
+            hi_flat = None if hi is None else hi.reshape(-1)
+            col = np.empty(width)
+            for m in range(1, rows):
+                idx = (m - np.minimum(cut, m)) * width + ks  # flat index of row m - min(cut, m)
+                col[:] = 0.0
+                if lo is not None:
+                    col += lo[m] - lo_flat[idx]  # j = 1..min(cut, m)
+                if hi is not None:
+                    col += hi_flat[idx]  # j = min(cut, m)+1..m
+                col /= m
+                np.add(cum[m], col, out=cum[m + 1])
+                if level == top:
+                    out[m] = col
+            if level == top:
+                out[0] = start
+        else:
+            tab = built[level] = np.zeros((rows, width))
+            tab[0] = start
+            lo, hi = built.get(low), built.get(high)
+            for m in range(1, rows):
+                # block[j-1, k]: the value after a new component of size j
+                block = blocks[:m]
+                np.copyto(block, 0.0 if hi is None else hi[m - 1 :: -1])
+                np.copyto(block, 0.0 if lo is None else lo[m - 1 :: -1], where=mask[:m])
+                tab[m] = splits[m] @ block
+        for t in (low, high):
+            if t is not None and t != top and last_read[t] == i:
+                del built[t]
+    return out if uniform else built[top]
+
+
+def _checked_probs(probs: np.ndarray) -> np.ndarray:
+    """Clip rounding-level negatives; PrecisionError beyond the mass tolerance."""
+    if probs.min() < -_MASS_TOL:
+        raise PrecisionError(f"negative probability {probs.min()!r} from differencing")
+    np.clip(probs, 0.0, None, out=probs)
+    if abs(probs.sum() - 1.0) > _MASS_TOL:
+        raise PrecisionError(f"mass-sum check failed: total = {probs.sum()!r}")
+    return probs
+
+
 class _ThresholdTable:
-    """Backward table of the threshold-projected window chain.
+    """Top level of the threshold-projected window chain, in float64.
 
     Largest side: level b holds P{an m-object has at most b components of
     size > k}, for b = 0..r-1, thresholds k = 0..n_max//r, sizes m = 0..n_max.
-    The CDF of the r-th largest size at n is level r-1, column n.
+    The CDF of the r-th largest size at n is level r-1, row n.
 
     Smallest side: level (a, b) holds P{at least a components and fewer
     than b components of size < k}; level (r, r) at k >= 1 is
     P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
+
+    Only the top level is kept: table[m, k] for m = 0..n_max, k = 0..k_max.
     """
 
     def __init__(self, kind: ObjectKind, side: Side, r: int, n_max: int):
         self.kind, self.side, self.r, self.n_max = kind, side, r, n_max
-        # the design point: >= 80-bit significands for deep mapping runs
-        self.dtype = np.longdouble if (kind is ObjectKind.MAPPING and n_max > 200) else np.float64
-        if side is Side.LARGEST:
-            self.k_max = n_max // r
-            self._build_largest()
-        else:
-            self.k_max = max(n_max - r + 2, 1)
-            self._build_smallest()
-
-    def _split(self, m: int):
-        if self.kind is ObjectKind.PERMUTATION:
-            return [1.0 / m] * m
-        return first_component_split(self.kind, m)
-
-    def _build_largest(self) -> None:
-        r, K, N = self.r, self.k_max, self.n_max
-        levels = [np.zeros((K + 1, N + 1), dtype=self.dtype) for _ in range(r)]
-        for lev in levels:
-            lev[:, 0] = 1.0
-        col = np.empty(K + 1, dtype=self.dtype)
-        for m in range(1, N + 1):
-            split = self._split(m)
-            for b in range(r):
-                col[:] = 0.0
-                own, down = levels[b], (levels[b - 1] if b else None)
-                for j in range(1, m + 1):
-                    p = split[j - 1]
-                    if j <= K:
-                        col[j:] += p * own[j:, m - j]  # new component within threshold
-                    if down is not None:
-                        jj = min(j, K + 1)
-                        col[:jj] += p * down[:jj, m - j]  # one more oversized component
-                own[:, m] = col
-        self.levels = levels
-
-    def _build_smallest(self) -> None:
-        r, K, N = self.r, self.k_max, self.n_max
-        # reachable (a, b) levels from (r, r); b = 0 is identically zero
-        needed = {(r, r)}
-        stack = [(r, r)]
-        while stack:
-            a, b = stack.pop()
-            for nxt in ((max(a - 1, 0), b), (max(a - 1, 0), b - 1)):
-                if nxt[1] >= 1 and nxt not in needed:
-                    needed.add(nxt)
-                    stack.append(nxt)
-        levels = {ab: np.zeros((K + 1, N + 1), dtype=self.dtype) for ab in needed}
-        for (a, b), lev in levels.items():
-            if a == 0:  # the empty object satisfies "at least 0, fewer than b >= 1"
-                lev[:, 0] = 1.0
-        col = np.empty(K + 1, dtype=self.dtype)
-        for m in range(1, N + 1):
-            split = self._split(m)
-            for (a, b), lev in levels.items():
-                col[:] = 0.0
-                small = levels.get((max(a - 1, 0), b - 1))  # component below threshold
-                other = levels[(max(a - 1, 0), b)]
-                for j in range(1, m + 1):
-                    p = split[j - 1]
-                    jj = min(j + 1, K + 1)
-                    col[:jj] += p * other[:jj, m - j]
-                    if small is not None and jj <= K:
-                        col[jj:] += p * small[jj:, m - j]
-                lev[:, m] = col
-        self.levels = levels
+        self.k_max = n_max // r if side is Side.LARGEST else max(n_max - r + 2, 1)
+        self.table = _build_chain(kind, side, r, n_max, self.k_max)
 
     def pmf_column(self, n: int) -> np.ndarray:
         if n > self.n_max:
@@ -288,23 +330,17 @@ class _ThresholdTable:
         r = self.r
         length = support_length(n, r, self.side)
         if self.side is Side.LARGEST:
-            cdf = self.levels[r - 1][: length, n]
+            cdf = self.table[n, :length]
             if abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
                 raise PrecisionError(f"mass-sum check failed: CDF top = {float(cdf[-1])!r}")
-            probs = np.diff(cdf, prepend=self.dtype(0.0))
+            probs = np.diff(cdf, prepend=0.0)
         else:
-            tail = self.levels[(r, r)][: length + 1, n]  # tail[k] = P{digest >= k}, k >= 1
-            probs = np.empty(length, dtype=self.dtype)
+            tail = self.table[n, : length + 1]  # tail[k] = P{digest >= k}, k >= 1
+            probs = np.empty(length)
             probs[0] = 1.0 - tail[1] if length > 1 else 1.0
             if length > 1:
                 probs[1:] = tail[1:length] - tail[2 : length + 1]
-        out = np.asarray(probs, dtype=np.float64)
-        if out.min() < -_MASS_TOL:
-            raise PrecisionError(f"negative probability {out.min()!r} from differencing")
-        np.clip(out, 0.0, None, out=out)
-        if abs(out.sum() - 1.0) > _MASS_TOL:
-            raise PrecisionError(f"mass-sum check failed: total = {out.sum()!r}")
-        return out
+        return _checked_probs(probs)
 
 
 _FLOAT_TABLES: dict[tuple[ObjectKind, Side, int], _ThresholdTable] = {}
@@ -323,10 +359,11 @@ def _float_table(kind: ObjectKind, side: Side, r: int, n: int) -> _ThresholdTabl
 def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Float distribution of the r-th ranked component size.
 
-    Same recursion as pmf, run on counts normalised by t_n; agrees with the
-    exact engine to near machine precision and raises PrecisionError if the
-    mass-sum check drifts beyond 1e-9.  Feasible far beyond the exact engine
-    (mappings into the high hundreds in seconds).
+    Same recursion as pmf, projected onto thresholds and run in float64 on
+    counts normalised by t_n; agrees with the exact engine to near machine
+    precision and raises PrecisionError if the mass-sum check drifts beyond
+    1e-9.  Feasible far beyond the exact engine (mappings into the high
+    hundreds, permutations into the thousands, in seconds).
     """
     if n < 1:
         raise ValueError("pmf_float requires n >= 1")

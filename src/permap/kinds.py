@@ -47,10 +47,15 @@ def connected_count(kind: ObjectKind, n: int) -> int:
         raise ValueError(f"connected_count requires n >= 1, got {n}")
     if kind is ObjectKind.PERMUTATION:
         return math.factorial(n - 1)
-    fact = math.factorial(n - 1)
-    return sum(fact // math.factorial(n - j) * n ** (n - j) for j in range(1, n + 1))
+    # Horner in n: term j is a_i * n^i with i = n - j and a_i = (n-1)!/i!
+    acc, a_i = 0, 1
+    for i in range(n - 1, -1, -1):
+        acc = acc * n + a_i
+        a_i *= i
+    return acc
 
 
+@lru_cache(maxsize=None)
 def total_count(kind: ObjectKind, n: int) -> int:
     """Total number of objects of the given kind on n labelled nodes (t_0 = 1)."""
     if n < 0:
@@ -76,10 +81,12 @@ def first_component_split(kind: ObjectKind, n: int) -> tuple[float, ...]:
         return tuple([1.0 / n] * n)
     den = total_count(kind, n)
     probs = []
+    binom = 1  # C(n-1, j-1), advanced one j at a time
     for j in range(1, n + 1):
-        num = connected_count(kind, j) * math.comb(n - 1, j - 1) * total_count(kind, n - j)
+        num = connected_count(kind, j) * binom * total_count(kind, n - j)
         # float(Fraction) would gcd-reduce huge integers; shift-divide instead
         probs.append(math.ldexp((num << 64) // den, -64))
+        binom = binom * (n - j) // j
     return tuple(probs)
 
 

@@ -17,9 +17,12 @@ which is checked, not explained, by the test suite.
 
 Adjacent differences of a table column give the exact PMF of the r-th
 ranked cycle size, which must (and does, in tests) match the rank-window
-engine.  The float builders run the recursions on counts normalised by
-n!, where the falling-factorial weights collapse to 1/n and prefix sums
-make every cell O(1); n = 2500 tables build in seconds.
+engine.  The float tables hold counts normalised by n!, where the
+falling-factorial weights collapse to 1/n and prefix sums make every cell
+O(1); n = 2500 tables build in seconds.  The longest-side float table is
+the threshold-chain kernel of exact (its uniform-split path); the
+shortest-side float recursion is built here, apart from that kernel, so
+that the proven chain can validate it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import cache
+from . import cache, exact
 from .kinds import ObjectKind, Side
 from .exact import support_length
 from .stats import ComponentPMF
@@ -247,7 +250,7 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
 # ---------------------------------------------------------------------------
 # normalised float tables
 
-_NORM_CACHE: dict[tuple[Side, int], tuple[int, int, np.ndarray]] = {}
+_V_NORM: dict[int, tuple[int, int, np.ndarray]] = {}
 
 
 def _harmonic_float(n_max: int, power: int) -> np.ndarray:
@@ -256,14 +259,17 @@ def _harmonic_float(n_max: int, power: int) -> np.ndarray:
     return out
 
 
-def _delta_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    """D[k, n] = delta(r, k, n)/n! for the float shortest-side builder."""
+def _delta_norm(r: int, k_max: int, n_max: int, lower: np.ndarray | None) -> np.ndarray:
+    """D[k, n] = delta(r, k, n)/n! for the float shortest-side builder.
+
+    lower is the rank r-1 table (None at r = 2), so a build computes each
+    rank once and holds at most two of them.
+    """
     h1 = _harmonic_float(n_max, 1)
     h2 = _harmonic_float(n_max, 2)
     h3 = _harmonic_float(n_max, 3)
     D = np.zeros((k_max + 1, n_max + 1))
     ks = np.arange(k_max + 1)
-    lower = None if r == 2 else _delta_norm(r - 1, k_max, n_max)
     for n in range(1, n_max + 1):
         t = min(n, k_max)
         kk = ks[1 : t + 1]
@@ -281,35 +287,17 @@ def _delta_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     return D
 
 
-def _u_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    ks = np.arange(k_max + 1)
-    cum_prev = None
-    W = None
-    for q in range(1, r + 1):
-        W = np.empty((k_max + 1, n_max + 1))
-        cum = np.zeros((k_max + 1, n_max + 2))
-        W[:, 0] = 1.0
-        cum[:, 1] = 1.0
-        for n in range(1, n_max + 1):
-            t = min(n if q == 1 else n // q, k_max + 1)
-            col = W[:, n]
-            col[t:] = 1.0
-            if t > 0:
-                kk = ks[:t]
-                idx = n - kk
-                own = cum[kk, n] - cum[kk, idx]
-                col[:t] = (own if q == 1 else own + cum_prev[kk, idx]) / n
-            cum[:, n + 1] = cum[:, n] + col
-        cum_prev = cum
-    return W
-
-
 def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
+    """The conjectural shortest-side recursion on counts normalised by n!.
+
+    Kept apart from the threshold-chain kernel in exact: it is the route
+    that the proven chain validates.
+    """
     ks = np.arange(k_max + 1)
     cum_prev = None
     Z = None
     for q in range(1, r + 1):
-        D = _delta_norm(q, k_max, n_max) if q >= 2 else None
+        D = _delta_norm(q, k_max, n_max, D) if q >= 2 else None
         Z = np.zeros((k_max + 1, n_max + 1))
         cum = np.zeros((k_max + 1, n_max + 2))
         Z[:, 0] = 1.0 if q == 1 else 0.0
@@ -331,50 +319,58 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     return Z
 
 
-def _norm_rows(side: Side, r: int, k_max: int, n_max: int) -> np.ndarray:
-    key = (side, r)
-    hit = _NORM_CACHE.get(key)
+def _v_rows_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
+    hit = _V_NORM.get(r)
     if hit is not None and hit[0] >= k_max and hit[1] >= n_max:
         return hit[2]
     if hit is not None:
         k_max, n_max = max(k_max, hit[0]), max(n_max, hit[1])
-    table = (_u_norm if side is Side.LARGEST else _v_norm)(r, k_max, n_max)
-    _NORM_CACHE[key] = (k_max, n_max, table)
+    table = _v_norm(r, k_max, n_max)
+    _V_NORM[r] = (k_max, n_max, table)
     return table
 
 
 def longest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    """w[k, n] = u_r(k, n)/n! as float64, built by prefix sums."""
+    """w[k, n] = u_r(k, n)/n! as float64, from the threshold-chain kernel.
+
+    The kernel's thresholds stop at n_max//r; every cell past them is 1.
+    """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    return _norm_rows(Side.LARGEST, r, k_max, n_max)[: k_max + 1, : n_max + 1]
+    chain = exact._float_table(ObjectKind.PERMUTATION, Side.LARGEST, r, n_max)
+    out = np.ones((k_max + 1, n_max + 1))
+    rows = min(k_max, chain.k_max) + 1
+    out[:rows] = chain.table[: n_max + 1, :rows].T
+    return out
 
 
 def shortest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """z[k, n] = v_r(k, n)/n! as float64 (conjectural recursion for r >= 2)."""
     if r < 1 or r > _MAX_RANK:
         raise ValueError(f"rank must be in 1..{_MAX_RANK}")
-    return _norm_rows(Side.SMALLEST, r, k_max, n_max)[: k_max + 1, : n_max + 1]
+    return _v_rows_norm(r, k_max, n_max)[: k_max + 1, : n_max + 1]
 
 
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
-    """Float PMF of the r-th ranked cycle size from the normalised tables."""
+    """Float PMF of the r-th ranked cycle size from the normalised tables.
+
+    The largest side reads the threshold-chain kernel; the smallest side
+    runs the conjectural recursion.  Both raise PrecisionError when the
+    mass-sum or negative-mass check fails.
+    """
     if n < 1 or r < 1:
         raise ValueError("pmf_from_tables_float requires n >= 1 and r >= 1")
-    length = support_length(n, r, side)
     if side is Side.LARGEST:
-        table = _norm_rows(side, r, max(n // r, 1), n)
-        cdf = table[:length, n]
-        probs = np.diff(cdf, prepend=0.0)
+        probs = exact._float_table(ObjectKind.PERMUTATION, side, r, n).pmf_column(n)
         conj = False
     else:
-        table = _norm_rows(side, r, max(n - r + 2, 1), n)
-        tail = table[: length + 1, n]
+        length = support_length(n, r, side)
+        tail = _v_rows_norm(r, max(n - r + 2, 1), n)[: length + 1, n]
         probs = np.empty(length)
         probs[0] = 1.0 - tail[1] if length > 1 else 1.0
         if length > 1:
             probs[1:] = tail[1:length] - tail[2 : length + 1]
+        probs = exact._checked_probs(probs)
         conj = r > 1
-    np.clip(probs, 0.0, None, out=probs)
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(float(p) for p in probs),
                         conjectural=conj)

@@ -227,8 +227,8 @@ def test_pmf_float_mass_within_tolerance() -> None:
 
 
 def test_pmf_float_extended_precision_path() -> None:
-    # mapping runs beyond n=200 switch to extended precision; values must
-    # stay continuous with the double-precision side of the threshold
+    # mapping tables past n=200 were once built in extended precision; the
+    # float64 chain must keep the mass continuous across that former switch
     lo = pmf_float(M, 200, 2, L)
     hi = pmf_float(M, 201, 2, L)
     assert abs(sum(lo.probs) - 1.0) <= 1e-11

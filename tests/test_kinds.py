@@ -87,6 +87,22 @@ def test_first_component_split_float_matches_exact() -> None:
                 assert got == pytest.approx(float(want), abs=1e-16, rel=1e-13)
 
 
+def test_first_component_split_is_the_direct_formula_bit_for_bit() -> None:
+    # the direct formula: comb for the binomial, powers and factorial
+    # quotients recomputed per term, one shift-division per entry
+    def connected(j: int) -> int:
+        fact = math.factorial(j - 1)
+        return sum(fact // math.factorial(j - i) * j ** (j - i) for i in range(1, j + 1))
+
+    for n in range(1, 81):
+        den = n**n
+        want = tuple(
+            math.ldexp((connected(j) * math.comb(n - 1, j - 1) * (n - j) ** (n - j) << 64) // den, -64)
+            for j in range(1, n + 1)
+        )
+        assert first_component_split(M, n) == want
+
+
 def test_first_component_split_rejects_empty() -> None:
     with pytest.raises(ValueError):
         first_component_split(P, 0)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from permap import exact
+from permap import exact, ktp
+from permap.exact import PrecisionError
 from permap.kinds import ObjectKind, Side
 from permap.ktp import (
     delta,
@@ -199,6 +200,29 @@ def test_pmf_float_route_matches_exact_route() -> None:
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert abs(a - float(b)) <= 1e-12
+
+
+def test_pmf_float_smallest_side_is_guarded(monkeypatch) -> None:
+    n, r = 30, 2
+    pmf_from_tables_float(r, n, S)  # fills the cache
+    k_max, n_max, table = ktp._V_NORM[r]
+    doctored = table.copy()
+    doctored[n - r + 1, n] = -1e-6  # tail P{2nd shortest >= n-1}: one mass entry < 0
+    monkeypatch.setitem(ktp._V_NORM, r, (k_max, n_max, doctored))
+    with pytest.raises(PrecisionError):
+        pmf_from_tables_float(r, n, S)
+
+
+def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
+    # the published permutation tables start at n = 1000; the smallest side
+    # there comes from the conjectural recursion, checked here against the
+    # proven threshold chain (the largest sides share one kernel)
+    n = 1000
+    for r in (2, 3, 4):
+        proven = exact.pmf_float(P, n, r, S).probs
+        conjectural = pmf_from_tables_float(r, n, S).probs
+        assert len(proven) == len(conjectural)
+        assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12
 
 
 def test_smallest_cycle_median_thresholds() -> None:
