@@ -35,7 +35,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .kinds import Side
-from . import cache
 
 _EULER_GAMMA = float(np.euler_gamma)
 _X_MAX = 40  # xi_4 needs rho_4 at 1/xi_4 ~ 36.9
@@ -129,16 +128,7 @@ def _table(r: int) -> DickmanTable:
         raise ValueError("order must be in 1..4")
     for q in range(1, r + 1):
         if q not in _TABLES:
-            raw = cache.load_doubles(f"dickman_{q}_{_X_MAX}")
-            if raw is not None:
-                pieces = tuple(Chebyshev(c, domain=[float(m), float(m + 1)])
-                               for m, c in enumerate(raw))
-                _TABLES[q] = DickmanTable(q, float(_X_MAX), pieces, 1e-12)
-                continue
-            table = _build_table(q, _X_MAX)
-            _TABLES[q] = table
-            cache.save_doubles(f"dickman_{q}_{_X_MAX}",
-                               [p.coef for p in table.pieces])
+            _TABLES[q] = _build_table(q, _X_MAX)
     return _TABLES[r]
 
 

@@ -9,9 +9,15 @@ Three subcommands:
 
 Output formats: text (display rounding: means/variances to 6 decimals,
 scaled medians/modes to 4), csv (full precision, fixed ASCII header
-names), json (full precision, keyed identically to the csv header).
+names), json (full precision, keyed identically to the csv header).  A
+table whose printed columns come from the conjectural shortest-side
+recursion (ktp engines, rank >= 2) says so: json carries a top-level
+"conjectural" key, text and csv print a one-line note on stderr.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success; 1 verification failure; 2 configuration error,
+including a request the library rejects (a ValueError, such as a rank
+the engine does not cover); 3 a float engine's precision guard failed
+(PrecisionError: a mass-sum or negative-mass check).
 """
 
 from __future__ import annotations
@@ -48,10 +54,7 @@ def _compute_pmf(engine: str, kind: ObjectKind, n: int, r: int, side: Side):
         return ktp.pmf_from_tables(r, n, side)
     if engine == "ktp-float":
         return ktp.pmf_from_tables_float(r, n, side)
-    try:
-        return oracle.enumerate_pmf(kind, n, r, side)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return oracle.enumerate_pmf(kind, n, r, side)
 
 
 def _columns(kind: ObjectKind, r: int, side: str) -> list[str]:
@@ -71,30 +74,37 @@ def _columns(kind: ObjectKind, r: int, side: str) -> list[str]:
     return largest + smallest
 
 
-def _table_rows(args) -> tuple[list[str], list[dict]]:
+def _table_rows(args) -> tuple[list[str], list[dict], bool]:
+    """Columns, rows in the order asked, and whether any column is conjectural.
+
+    Sizes are computed largest first, so every engine builds its tables
+    once per sweep and serves the smaller sizes from them.
+    """
     kind = _KINDS[args.kind]
     cols = _columns(kind, args.rank, args.side)
     if args.engine == "exact" and max(args.n) > 80:
         print("note: the exact big-integer engine grows quickly with n; "
               "--engine exact-float reproduces the same tables in seconds",
               file=sys.stderr)
-    rows = []
-    for n in args.n:
+    computed = {}
+    conjectural = False
+    for n in sorted(set(args.n), reverse=True):
         row: dict[str, object] = {"n": n}
         stats = {}
         for side in (Side.LARGEST, Side.SMALLEST):
             prefix = "L" if side is Side.LARGEST else "S"
             if any(c.startswith(prefix) for c in cols):
-                stats[prefix] = summarize(_compute_pmf(args.engine, kind, n,
-                                                       args.rank, side))
+                pmf = _compute_pmf(args.engine, kind, n, args.rank, side)
+                conjectural |= pmf.conjectural
+                stats[prefix] = summarize(pmf)
         for col in cols:
             st = stats[col[0]]
             field = {"mu": "normalized_mean", "sigma2": "normalized_variance",
                      "nu": "normalized_median", "theta": "normalized_mode"}[
                          col.split("_")[1]]
             row[col] = getattr(st, field)
-        rows.append(row)
-    return cols, rows
+        computed[n] = row
+    return cols, [computed[n] for n in args.n], conjectural
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -105,11 +115,11 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_table(cols: list[str], rows: list[dict], args) -> str:
+def _render_table(cols: list[str], rows: list[dict], conjectural: bool, args) -> str:
     if args.format == "json":
         return json.dumps({"kind": args.kind, "rank": args.rank,
-                           "engine": args.engine, "columns": ["n"] + cols,
-                           "rows": rows}, indent=2) + "\n"
+                           "engine": args.engine, "conjectural": conjectural,
+                           "columns": ["n"] + cols, "rows": rows}, indent=2) + "\n"
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -131,8 +141,11 @@ def _render_table(cols: list[str], rows: list[dict], args) -> str:
 
 
 def _cmd_table(args) -> int:
-    cols, rows = _table_rows(args)
-    _emit(_render_table(cols, rows, args), args.output)
+    cols, rows, conjectural = _table_rows(args)
+    if conjectural and args.format != "json":
+        print("note: the S_ columns come from the conjectural shortest-side recursion; "
+              "--engine exact-float computes them from the proven chain", file=sys.stderr)
+    _emit(_render_table(cols, rows, conjectural, args), args.output)
     return 0
 
 
@@ -298,13 +311,19 @@ def main(argv=None) -> int:
                 raise ConfigError("rank must be a positive integer")
             if any(n < 1 for n in args.n):
                 raise ConfigError("sizes must be positive integers")
-            return _cmd_table(args)
+            try:
+                return _cmd_table(args)
+            except ValueError as exc:  # a request the library cannot serve
+                raise ConfigError(str(exc)) from None
         if args.command == "constants":
             return _cmd_constants(args)
         return _cmd_verify(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except exact.PrecisionError as exc:
+        print(f"error: float precision guard failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

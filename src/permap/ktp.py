@@ -22,7 +22,9 @@ falling-factorial weights collapse to 1/n and prefix sums make every cell
 O(1); n = 2500 tables build in seconds.  The longest-side float table is
 the threshold-chain kernel of exact (its uniform-split path); the
 shortest-side float recursion is built here, apart from that kernel, so
-that the proven chain can validate it.
+that the proven chain can validate it.  It runs one rank at a time over
+row-major [n, k] prefix sums, one contiguous row per size n, and keeps a
+full value table for the requested rank only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import cache, exact
+from . import exact
 from .kinds import ObjectKind, Side
 from .exact import support_length
 from .stats import ComponentPMF
@@ -193,13 +195,7 @@ def _exact_rows(side: Side, r: int, k_max: int, n_max: int) -> list[list[int]]:
         return hit[2]
     if hit is not None:
         k_max, n_max = max(k_max, hit[0]), max(n_max, hit[1])
-    tag = f"ktp_{'u' if side is Side.LARGEST else 'v'}_{r}"
-    rows = cache.load_counts(tag)
-    if rows is not None and len(rows) > k_max and len(rows[0]) > n_max:
-        k_max, n_max = len(rows) - 1, len(rows[0]) - 1
-    else:
-        rows = (_u_rows if side is Side.LARGEST else _v_rows)(r, k_max, n_max)
-        cache.save_counts(tag, rows)
+    rows = (_u_rows if side is Side.LARGEST else _v_rows)(r, k_max, n_max)
     _EXACT_CACHE[key] = (k_max, n_max, rows)
     return rows
 
@@ -259,64 +255,76 @@ def _harmonic_float(n_max: int, power: int) -> np.ndarray:
     return out
 
 
-def _delta_norm(r: int, k_max: int, n_max: int, lower: np.ndarray | None) -> np.ndarray:
-    """D[k, n] = delta(r, k, n)/n! for the float shortest-side builder.
+def _delta_row(q: int, n: int, t: int, h: tuple, lower: np.ndarray | None,
+               ks: np.ndarray) -> np.ndarray:
+    """Row n of D_q, D_q[k, n] = delta(q, k, n)/n!, for k = 1..t (entry 0 unused).
 
-    lower is the rank r-1 table (None at r = 2), so a build computes each
-    rank once and holds at most two of them.
+    h holds the harmonic sums of powers 1..3, lower is row n of D_{q-1}
+    (None at q = 2) reaching at least to k = t, and ks = 0, 1, 2, ...
     """
-    h1 = _harmonic_float(n_max, 1)
-    h2 = _harmonic_float(n_max, 2)
-    h3 = _harmonic_float(n_max, 3)
-    D = np.zeros((k_max + 1, n_max + 1))
-    ks = np.arange(k_max + 1)
-    for n in range(1, n_max + 1):
-        t = min(n, k_max)
-        kk = ks[1 : t + 1]
-        if r == 2:
-            D[kk, n] = h1[n - kk] / n
-        else:
-            if r == 3:
-                head = (h1[n - 1] ** 2 - h2[n - 1]) / (2 * n)
-            else:
-                head = (h1[n - 1] ** 3 - 3 * h1[n - 1] * h2[n - 1] + 2 * h3[n - 1]) / (6 * n)
-            D[1, n] = head
-            if t >= 2:
-                steps = lower[2 : t + 1, n] / (n - ks[2 : t + 1] + 1)
-                D[2 : t + 1, n] = head - np.cumsum(steps)
-    return D
+    h1, h2, h3 = h
+    out = np.empty(t + 1)
+    kk = ks[1 : t + 1]
+    if q == 2:
+        out[1:] = h1[n - kk] / n
+        return out
+    if q == 3:
+        head = (h1[n - 1] ** 2 - h2[n - 1]) / (2 * n)
+    else:
+        head = (h1[n - 1] ** 3 - 3 * h1[n - 1] * h2[n - 1] + 2 * h3[n - 1]) / (6 * n)
+    out[1] = head
+    if t >= 2:
+        out[2:] = head - (lower[2 : t + 1] / (n - kk[1:] + 1)).cumsum()
+    return out
 
 
 def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """The conjectural shortest-side recursion on counts normalised by n!.
 
+    Returns z[k, n] as a transposed view of a row-major table z[n, k], so
+    that each step n reads and writes contiguous rows.  Rank q keeps only
+    its prefix sums cum[i, k] = sum of its values at sizes < i, and the
+    step reads cum[n-k+1, k] through one flat index; the rank-r values are
+    the only full table.  Row n of the correction D_q is recomputed from
+    D_{q-1}'s row n at each step, so no D table is held.
+
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
     """
-    ks = np.arange(k_max + 1)
-    cum_prev = None
-    Z = None
+    width = k_max + 1
+    ks = np.arange(width)
+    step = ks * (width - 1)  # flat index of cum[n-k+1, k] is (n+1)*width - step[k]
+    h = tuple(_harmonic_float(n_max, power) for power in (1, 2, 3))
+    cum_prev = prev_flat = None
     for q in range(1, r + 1):
-        D = _delta_norm(q, k_max, n_max, D) if q >= 2 else None
-        Z = np.zeros((k_max + 1, n_max + 1))
-        cum = np.zeros((k_max + 1, n_max + 2))
-        Z[:, 0] = 1.0 if q == 1 else 0.0
-        Z[0, :] = 1.0
-        cum[:, 1] = Z[:, 0]
+        cum = np.zeros((n_max + 2, width))
+        cum[1] = 1.0 if q == 1 else 0.0
+        cum[1, 0] = 1.0
+        flat = cum.reshape(-1)
+        if q == r:
+            z = np.zeros((n_max + 1, width))
+            z[0] = cum[1]  # the empty permutation
+            z[:, 0] = 1.0
+        else:
+            row = np.zeros(width)  # entries past t are never written: t grows with n
+            row[0] = 1.0
         for n in range(1, n_max + 1):
             t = min(n if q == 1 else n - q + 1, k_max)
-            col = Z[:, n]
+            out = z[n] if q == r else row
             if t >= 1:
-                kk = ks[1 : t + 1]
-                idx = n - kk + 1
-                own = cum[kk, idx]
+                idx = (n + 1) * width - step[1 : t + 1]
+                own = flat[idx]
                 if q == 1:
-                    col[1 : t + 1] = own / n
+                    out[1 : t + 1] = own / n
                 else:
-                    col[1 : t + 1] = D[kk, n] + (cum_prev[kk, n] - cum_prev[kk, idx] + own) / n
-            cum[:, n + 1] = cum[:, n] + col
-        cum_prev = cum
-    return Z
+                    d = None
+                    for p in range(2, q + 1):
+                        d = _delta_row(p, n, min(n - p + 1, k_max), h, d, ks)
+                    out[1 : t + 1] = d[1 : t + 1] + (cum_prev[n, 1 : t + 1]
+                                                     - prev_flat[idx] + own) / n
+            np.add(cum[n], out, out=cum[n + 1])
+        cum_prev, prev_flat = cum, flat
+    return z.T
 
 
 def _v_rows_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
@@ -364,6 +372,8 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
         probs = exact._float_table(ObjectKind.PERMUTATION, side, r, n).pmf_column(n)
         conj = False
     else:
+        if r > _MAX_RANK:
+            raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
         length = support_length(n, r, side)
         tail = _v_rows_norm(r, max(n - r + 2, 1), n)[: length + 1, n]
         probs = np.empty(length)

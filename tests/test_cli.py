@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from permap import exact, ktp
 from permap.cli import main
 
 
@@ -103,6 +104,88 @@ def test_table_output_file(capsys, tmp_path) -> None:
     assert target.read_text().startswith("n,")
 
 
+def _fresh_float_tables(monkeypatch) -> None:
+    monkeypatch.setattr(exact, "_FLOAT_TABLES", {})
+    monkeypatch.setattr(ktp, "_V_NORM", {})
+
+
+@pytest.mark.parametrize("kind, engine", [("permute", "exact-float"),
+                                          ("permute", "ktp-float"),
+                                          ("mapping", "exact-float")])
+def test_table_sweep_rows_match_one_size_calls(capsys, monkeypatch, kind, engine) -> None:
+    def rows(sizes: str) -> list[dict]:
+        _fresh_float_tables(monkeypatch)
+        _, out, _ = run(capsys, "table", "--kind", kind, "--rank", "3", "--n", sizes,
+                        "--engine", engine, "--format", "json")
+        return json.loads(out)["rows"]
+
+    sweep = rows("60,20,40,20")
+    assert [row["n"] for row in sweep] == [60, 20, 40, 20]
+    for got in sweep:
+        want = rows(str(got["n"]))[0]
+        if kind == "permute":
+            assert got == want  # prefix sums along m: a cell never depends on the table size
+        else:
+            # the mapping kernel's mat-vec rounds a cell according to the table width
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, engine, builds", [("permute", "ktp-float", (1, 1)),
+                                                  ("permute", "exact-float", (2, 0)),
+                                                  ("mapping", "exact-float", (2, 0))])
+def test_table_sweep_builds_once_per_side_and_rank(capsys, monkeypatch, kind, engine,
+                                                   builds) -> None:
+    _fresh_float_tables(monkeypatch)
+    counts = {"chain": 0, "v_norm": 0}
+    chain_init, v_norm = exact._ThresholdTable.__init__, ktp._v_norm
+
+    def counted_init(self, *args):
+        counts["chain"] += 1
+        chain_init(self, *args)
+
+    def counted_v_norm(*args):
+        counts["v_norm"] += 1
+        return v_norm(*args)
+
+    monkeypatch.setattr(exact._ThresholdTable, "__init__", counted_init)
+    monkeypatch.setattr(ktp, "_v_norm", counted_v_norm)
+    code, _, _ = run(capsys, "table", "--kind", kind, "--rank", "2",
+                     "--n", "25,50,75,100", "--engine", engine, "--format", "csv")
+    assert code == 0
+    assert (counts["chain"], counts["v_norm"]) == builds
+
+
+def test_table_json_flags_conjectural_columns(capsys) -> None:
+    def flag(*argv: str) -> bool:
+        code, out, _ = run(capsys, "table", "--kind", "permute", "--n", "8",
+                           "--format", "json", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"kind", "rank", "engine", "conjectural", "columns", "rows"}
+        return doc["conjectural"]
+
+    for engine in ("ktp", "ktp-float"):
+        assert flag("--engine", engine, "--rank", "2") is True
+        assert flag("--engine", engine, "--rank", "3", "--side", "smallest") is True
+        assert flag("--engine", engine, "--rank", "2", "--side", "largest") is False
+        assert flag("--engine", engine, "--rank", "1") is False
+    for engine in ("exact", "exact-float", "oracle"):
+        assert flag("--engine", engine, "--rank", "2") is False
+
+
+def test_table_text_and_csv_note_conjectural_columns(capsys) -> None:
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, "table", "--kind", "permute", "--rank", "2",
+                             "--n", "8", "--engine", "ktp-float", "--format", fmt)
+        assert code == 0
+        assert "conjectural" in err and "conjectural" not in out
+        assert len(err.strip().splitlines()) == 1
+        code, out, err = run(capsys, "table", "--kind", "permute", "--rank", "2",
+                             "--n", "8", "--engine", "exact-float", "--format", fmt)
+        assert code == 0
+        assert err == ""
+
+
 def test_exact_engine_cost_note(capsys) -> None:
     code, _, err = run(capsys, "table", "--kind", "permute", "--rank", "1",
                        "--n", "81", "--engine", "exact", "--format", "csv")
@@ -172,11 +255,26 @@ def test_config_error_exit_codes(capsys) -> None:
         ("table", "--kind", "permute", "--rank", "0", "--n", "5"),
         ("table", "--kind", "permute", "--rank", "2", "--n", "0"),
         ("table", "--kind", "permute", "--rank", "2", "--n", "9", "--engine", "oracle"),
+        ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp",
+         "--side", "smallest"),
+        ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp-float",
+         "--side", "smallest"),
     ]
     for argv in cases:
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
-        assert "error:" in err
+        assert err.startswith("error:") and out == ""
+
+
+def test_precision_error_has_its_own_exit_code(capsys, monkeypatch) -> None:
+    def drifted(*args):
+        raise exact.PrecisionError("mass-sum check failed: total = 1.1")
+
+    monkeypatch.setattr(exact, "pmf_float", drifted)
+    code, out, err = run(capsys, "table", "--kind", "mapping", "--rank", "2", "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "mass-sum" in err
 
 
 def test_unknown_engine_is_rejected_by_parser(capsys) -> None:

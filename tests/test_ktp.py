@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permap import exact, ktp
@@ -214,15 +215,77 @@ def test_pmf_float_smallest_side_is_guarded(monkeypatch) -> None:
 
 
 def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
-    # the published permutation tables start at n = 1000; the smallest side
+    # the published permutation tables run from n = 1000; the smallest side
     # there comes from the conjectural recursion, checked here against the
-    # proven threshold chain (the largest sides share one kernel)
-    n = 1000
-    for r in (2, 3, 4):
-        proven = exact.pmf_float(P, n, r, S).probs
-        conjectural = pmf_from_tables_float(r, n, S).probs
-        assert len(proven) == len(conjectural)
-        assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12
+    # proven threshold chain (the largest sides share one kernel).  Largest
+    # first: the n = 1000 columns are read from the n = 1500 tables.
+    for n in (1500, 1000):
+        for r in (2, 3, 4):
+            proven = exact.pmf_float(P, n, r, S).probs
+            conjectural = pmf_from_tables_float(r, n, S).probs
+            assert len(proven) == len(conjectural)
+            assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12, (n, r)
+
+
+def _column_major_delta_norm(r, k_max, n_max, lower):
+    # the float correction table D[k, n] as the column-major builder made it
+    h1, h2, h3 = (ktp._harmonic_float(n_max, power) for power in (1, 2, 3))
+    D = np.zeros((k_max + 1, n_max + 1))
+    ks = np.arange(k_max + 1)
+    for n in range(1, n_max + 1):
+        t = min(n, k_max)
+        kk = ks[1 : t + 1]
+        if r == 2:
+            D[kk, n] = h1[n - kk] / n
+        else:
+            if r == 3:
+                head = (h1[n - 1] ** 2 - h2[n - 1]) / (2 * n)
+            else:
+                head = (h1[n - 1] ** 3 - 3 * h1[n - 1] * h2[n - 1] + 2 * h3[n - 1]) / (6 * n)
+            D[1, n] = head
+            if t >= 2:
+                steps = lower[2 : t + 1, n] / (n - ks[2 : t + 1] + 1)
+                D[2 : t + 1, n] = head - np.cumsum(steps)
+    return D
+
+
+def _column_major_v_norm(r, k_max, n_max):
+    # the shortest-side float recursion on C-order [k, n] tables, one column per step
+    ks = np.arange(k_max + 1)
+    cum_prev = D = Z = None
+    for q in range(1, r + 1):
+        D = _column_major_delta_norm(q, k_max, n_max, D) if q >= 2 else None
+        Z = np.zeros((k_max + 1, n_max + 1))
+        cum = np.zeros((k_max + 1, n_max + 2))
+        Z[:, 0] = 1.0 if q == 1 else 0.0
+        Z[0, :] = 1.0
+        cum[:, 1] = Z[:, 0]
+        for n in range(1, n_max + 1):
+            t = min(n if q == 1 else n - q + 1, k_max)
+            col = Z[:, n]
+            if t >= 1:
+                kk = ks[1 : t + 1]
+                idx = n - kk + 1
+                own = cum[kk, idx]
+                if q == 1:
+                    col[1 : t + 1] = own / n
+                else:
+                    col[1 : t + 1] = D[kk, n] + (cum_prev[kk, n] - cum_prev[kk, idx] + own) / n
+            cum[:, n + 1] = cum[:, n] + col
+        cum_prev = cum
+    return Z
+
+
+def test_v_norm_is_the_column_major_recursion_bit_for_bit() -> None:
+    # the row-major, row-streamed builder must round every cell as the
+    # column-major one did: same operations, same order
+    for r in (1, 2, 3, 4):
+        for n_max in (1, 2, 5, 37, 200):
+            for k_max in {max(n_max - r + 2, 1), max(n_max // 3, 1), n_max + 4}:
+                got = ktp._v_norm(r, k_max, n_max)
+                want = _column_major_v_norm(r, k_max, n_max)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (r, k_max, n_max)
 
 
 def test_smallest_cycle_median_thresholds() -> None:

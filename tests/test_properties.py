@@ -10,15 +10,13 @@ small algebraic helpers.  Runnable on its own: `pytest tests/test_properties.py`
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from permap import cache, exact
+from permap import exact
 from permap.asymptotics import density_f, density_g, dickman, largest_cdf
 from permap.kinds import (
     ObjectKind,
@@ -218,22 +216,3 @@ def test_median_and_mode_conventions(weights) -> None:
     peak = max(probs)
     assert got.mode == min(k for k, p in enumerate(probs) if p == peak)
 
-
-@given(st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=8),
-       st.data())
-@settings(max_examples=40, deadline=None)
-def test_cache_counts_round_trip(n_rows, n_cols, data) -> None:
-    entry = st.integers(min_value=-(10**40), max_value=10**40)
-    rows = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
-    with tempfile.TemporaryDirectory() as tmp:
-        previous = os.environ.get("PERMAP_CACHE")
-        os.environ["PERMAP_CACHE"] = tmp
-        try:
-            cache.save_counts("hyp", rows)
-            assert cache.load_counts("hyp") == rows
-        finally:
-            if previous is None:
-                os.environ.pop("PERMAP_CACHE", None)
-            else:
-                os.environ["PERMAP_CACHE"] = previous
