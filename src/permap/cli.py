@@ -35,7 +35,7 @@ from .stats import summarize
 
 _KINDS = {"permute": ObjectKind.PERMUTATION, "permutation": ObjectKind.PERMUTATION,
           "map": ObjectKind.MAPPING, "mapping": ObjectKind.MAPPING}
-_ENGINES = ("exact", "exact-float", "float", "ktp", "ktp-float", "oracle")
+_ENGINES = ("exact", "exact-float", "ktp", "ktp-float", "oracle")
 
 
 class ConfigError(Exception):
@@ -48,7 +48,7 @@ def _compute_pmf(engine: str, kind: ObjectKind, n: int, r: int, side: Side):
                           "use --engine exact or exact-float for mappings")
     if engine == "exact":
         return exact.pmf(kind, n, r, side)
-    if engine in ("float", "exact-float"):
+    if engine == "exact-float":
         return exact.pmf_float(kind, n, r, side)
     if engine == "ktp":
         return ktp.pmf_from_tables(r, n, side)

@@ -35,8 +35,16 @@ float64 for both kinds and every n; ktp reads its longest-side float
 tables from it.
 
 All computations are deterministic: summation orders are fixed, and
-results do not depend on call order.  Engines keyed by (kind, side)
-share module-level memo tables; create none of your own state here.
+results do not depend on call order, with one exception.  A mapping
+float table is built by BLAS mat-vecs, which round a cell according to
+the table's width, so pmf_float(MAPPING, ...) read from a table grown
+for a larger n can differ from a one-size build in the last digits (up
+to 8.9e-15 relative seen; the test suite bounds it at 1e-13).
+Permutation tables and ktp's tables hold the same bits at every size.
+
+Engines keyed by (kind, side) share module-level memo tables, and every
+grown table of this module and of ktp lives in one store (_stored) with
+one grow rule; create none of your own state here.
 """
 
 from __future__ import annotations
@@ -234,14 +242,24 @@ def _chain_levels(side: Side, r: int) -> tuple[dict, object]:
     return graph, (r, r)
 
 
-def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int, k_max: int) -> np.ndarray:
-    """Top level of the chain as an (n_max+1, k_max+1) table, row m = size.
+def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray:
+    """Top level of the chain as a table[m, k], sizes m = 0..n_max.
+
+    Largest side: level b holds P{an m-object has at most b components of
+    size > k}, for b = 0..r-1 and thresholds k = 0..n_max//r.  Row n of
+    the top level r-1 is the CDF of the r-th largest size at n.
+
+    Smallest side: level (a, b) holds P{at least a components and fewer
+    than b components of size < k}, for k = 0..max(n_max-r+2, 1); the top
+    level (r, r) at k >= 1 is P{r-th smallest >= k}, with the
+    fewer-than-r-components digest 0.
 
     One (level, m) step is a masked mat-vec over the sizes j of the new
     component; with the uniform permutation split 1/m it is a pair of
     gathers from prefix sums along m instead.  Levels are built in
     dependency order and dropped once their last reader is done.
     """
+    k_max = n_max // r if side is Side.LARGEST else max(n_max - r + 2, 1)
     graph, top = _chain_levels(side, r)
     order = sorted(graph)
     last_read = {t: i for i, level in enumerate(order) for t in graph[level][:2] if t is not None}
@@ -305,55 +323,53 @@ def _checked_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-class _ThresholdTable:
-    """Top level of the threshold-projected window chain, in float64.
+# ---------------------------------------------------------------------------
+# grown tables: one store, one grow rule
 
-    Largest side: level b holds P{an m-object has at most b components of
-    size > k}, for b = 0..r-1, thresholds k = 0..n_max//r, sizes m = 0..n_max.
-    The CDF of the r-th largest size at n is level r-1, row n.
+_TABLES: dict[tuple, tuple[tuple[int, ...], object]] = {}
 
-    Smallest side: level (a, b) holds P{at least a components and fewer
-    than b components of size < k}; level (r, r) at k >= 1 is
-    P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
 
-    Only the top level is kept: table[m, k] for m = 0..n_max, k = 0..k_max.
+def _stored(build, args: tuple, sizes: tuple[int, ...]):
+    """build(*args, *sizes), kept per (build, args) and reused while big enough.
+
+    sizes are the largest indices a request reads, one per table
+    dimension.  A stored table too small for a request in any dimension is
+    rebuilt at max(asked, 5/4 of held) in each dimension, so requests for
+    n = 1..N in ascending order cost O(log N) builds.  The store holds
+    tables and computes nothing.
     """
-
-    def __init__(self, kind: ObjectKind, side: Side, r: int, n_max: int):
-        self.kind, self.side, self.r, self.n_max = kind, side, r, n_max
-        self.k_max = n_max // r if side is Side.LARGEST else max(n_max - r + 2, 1)
-        self.table = _build_chain(kind, side, r, n_max, self.k_max)
-
-    def pmf_column(self, n: int) -> np.ndarray:
-        if n > self.n_max:
-            raise ValueError("table built too small")
-        r = self.r
-        length = support_length(n, r, self.side)
-        if self.side is Side.LARGEST:
-            cdf = self.table[n, :length]
-            if abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
-                raise PrecisionError(f"mass-sum check failed: CDF top = {float(cdf[-1])!r}")
-            probs = np.diff(cdf, prepend=0.0)
-        else:
-            tail = self.table[n, : length + 1]  # tail[k] = P{digest >= k}, k >= 1
-            probs = np.empty(length)
-            probs[0] = 1.0 - tail[1] if length > 1 else 1.0
-            if length > 1:
-                probs[1:] = tail[1:length] - tail[2 : length + 1]
-        return _checked_probs(probs)
-
-
-_FLOAT_TABLES: dict[tuple[ObjectKind, Side, int], _ThresholdTable] = {}
-
-
-def _float_table(kind: ObjectKind, side: Side, r: int, n: int) -> _ThresholdTable:
-    key = (kind, side, r)
-    table = _FLOAT_TABLES.get(key)
-    if table is None or table.n_max < n:
-        grow = n if table is None else max(n, table.n_max * 5 // 4)
-        table = _ThresholdTable(kind, side, r, grow)
-        _FLOAT_TABLES[key] = table
+    key = (build, *args)
+    hit = _TABLES.get(key)
+    if hit is not None:
+        held, table = hit
+        if all(s <= h for s, h in zip(sizes, held)):
+            return table
+        sizes = tuple(max(s, h * 5 // 4) for s, h in zip(sizes, held))
+    table = build(*args, *sizes)
+    _TABLES[key] = (sizes, table)
     return table
+
+
+def _row_pmf(table: np.ndarray, n: int, r: int, side: Side) -> np.ndarray:
+    """Guarded PMF of the r-th ranked size at n, from row n of a float table[n, k].
+
+    Largest side: the row is the CDF P{digest <= k}.  Smallest side: the
+    row at k >= 1 is the tail P{digest >= k}, with the
+    fewer-than-r-components digest 0.
+    """
+    length = support_length(n, r, side)
+    if side is Side.LARGEST:
+        cdf = table[n, :length]
+        if abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
+            raise PrecisionError(f"mass-sum check failed: CDF top = {float(cdf[-1])!r}")
+        probs = np.diff(cdf, prepend=0.0)
+    else:
+        tail = table[n, : length + 1]
+        probs = np.empty(length)
+        probs[0] = 1.0 - tail[1] if length > 1 else 1.0
+        if length > 1:
+            probs[1:] = tail[1:length] - tail[2 : length + 1]
+    return _checked_probs(probs)
 
 
 def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
@@ -369,5 +385,5 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
         raise ValueError("pmf_float requires n >= 1")
     if r < 1:
         raise ValueError("pmf_float requires r >= 1")
-    probs = _float_table(kind, side, r, n).pmf_column(n)
+    probs = _row_pmf(_stored(_build_chain, (kind, side, r), (n,)), n, r, side)
     return ComponentPMF(kind, n, r, side, tuple(float(p) for p in probs))

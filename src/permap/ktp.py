@@ -23,8 +23,12 @@ O(1); n = 2500 tables build in seconds.  The longest-side float table is
 the threshold-chain kernel of exact (its uniform-split path); the
 shortest-side float recursion is built here, apart from that kernel, so
 that the proven chain can validate it.  It runs one rank at a time over
-row-major [n, k] prefix sums, one contiguous row per size n, and keeps a
-full value table for the requested rank only.
+row-major [n, k] prefix sums, one contiguous row per size n, keeps a
+full value table for the requested rank only, and returns it as [n, k].
+
+Every table here, exact or float, lives in exact's one store and grows
+by its one rule; exact's row reader turns a float table's row n into a
+guarded PMF, while the exact tables keep their own Fraction differencing.
 """
 
 from __future__ import annotations
@@ -185,19 +189,9 @@ def _v_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
     return rows
 
 
-_EXACT_CACHE: dict[tuple[Side, int], tuple[int, int, list[list[int]]]] = {}
-
-
 def _exact_rows(side: Side, r: int, k_max: int, n_max: int) -> list[list[int]]:
-    key = (side, r)
-    hit = _EXACT_CACHE.get(key)
-    if hit is not None and hit[0] >= k_max and hit[1] >= n_max:
-        return hit[2]
-    if hit is not None:
-        k_max, n_max = max(k_max, hit[0]), max(n_max, hit[1])
-    rows = (_u_rows if side is Side.LARGEST else _v_rows)(r, k_max, n_max)
-    _EXACT_CACHE[key] = (k_max, n_max, rows)
-    return rows
+    build = _u_rows if side is Side.LARGEST else _v_rows
+    return exact._stored(build, (r,), (k_max, n_max))
 
 
 def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
@@ -246,9 +240,6 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
 # ---------------------------------------------------------------------------
 # normalised float tables
 
-_V_NORM: dict[int, tuple[int, int, np.ndarray]] = {}
-
-
 def _harmonic_float(n_max: int, power: int) -> np.ndarray:
     out = np.zeros(n_max + 1)
     out[1:] = np.cumsum(1.0 / np.arange(1, n_max + 1, dtype=np.float64) ** power)
@@ -281,11 +272,11 @@ def _delta_row(q: int, n: int, t: int, h: tuple, lower: np.ndarray | None,
 def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """The conjectural shortest-side recursion on counts normalised by n!.
 
-    Returns z[k, n] as a transposed view of a row-major table z[n, k], so
-    that each step n reads and writes contiguous rows.  Rank q keeps only
-    its prefix sums cum[i, k] = sum of its values at sizes < i, and the
-    step reads cum[n-k+1, k] through one flat index; the rank-r values are
-    the only full table.  Row n of the correction D_q is recomputed from
+    Returns the row-major table z[n, k], so that each step n reads and
+    writes contiguous rows; callers keep it in exact's store.  Rank q
+    keeps only its prefix sums cum[i, k] = sum of its values at sizes < i,
+    and the step reads cum[n-k+1, k] through one flat index; the rank-r
+    values are the only full table.  Row n of the correction D_q is recomputed from
     D_{q-1}'s row n at each step, so no D table is held.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
@@ -324,18 +315,7 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
                                                      - prev_flat[idx] + own) / n
             np.add(cum[n], out, out=cum[n + 1])
         cum_prev, prev_flat = cum, flat
-    return z.T
-
-
-def _v_rows_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    hit = _V_NORM.get(r)
-    if hit is not None and hit[0] >= k_max and hit[1] >= n_max:
-        return hit[2]
-    if hit is not None:
-        k_max, n_max = max(k_max, hit[0]), max(n_max, hit[1])
-    table = _v_norm(r, k_max, n_max)
-    _V_NORM[r] = (k_max, n_max, table)
-    return table
+    return z
 
 
 def longest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
@@ -345,10 +325,11 @@ def longest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    chain = exact._float_table(ObjectKind.PERMUTATION, Side.LARGEST, r, n_max)
+    chain = exact._stored(exact._build_chain, (ObjectKind.PERMUTATION, Side.LARGEST, r),
+                          (n_max,))
     out = np.ones((k_max + 1, n_max + 1))
-    rows = min(k_max, chain.k_max) + 1
-    out[:rows] = chain.table[: n_max + 1, :rows].T
+    rows = min(k_max + 1, chain.shape[1])
+    out[:rows] = chain[: n_max + 1, :rows].T
     return out
 
 
@@ -356,7 +337,7 @@ def shortest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """z[k, n] = v_r(k, n)/n! as float64 (conjectural recursion for r >= 2)."""
     if r < 1 or r > _MAX_RANK:
         raise ValueError(f"rank must be in 1..{_MAX_RANK}")
-    return _v_rows_norm(r, k_max, n_max)[: k_max + 1, : n_max + 1]
+    return exact._stored(_v_norm, (r,), (k_max, n_max))[: n_max + 1, : k_max + 1].T
 
 
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
@@ -369,18 +350,12 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     if n < 1 or r < 1:
         raise ValueError("pmf_from_tables_float requires n >= 1 and r >= 1")
     if side is Side.LARGEST:
-        probs = exact._float_table(ObjectKind.PERMUTATION, side, r, n).pmf_column(n)
-        conj = False
+        table = exact._stored(exact._build_chain, (ObjectKind.PERMUTATION, side, r), (n,))
+    elif r > _MAX_RANK:
+        raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     else:
-        if r > _MAX_RANK:
-            raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
-        length = support_length(n, r, side)
-        tail = _v_rows_norm(r, max(n - r + 2, 1), n)[: length + 1, n]
-        probs = np.empty(length)
-        probs[0] = 1.0 - tail[1] if length > 1 else 1.0
-        if length > 1:
-            probs[1:] = tail[1:length] - tail[2 : length + 1]
-        probs = exact._checked_probs(probs)
-        conj = r > 1
+        table = exact._stored(_v_norm, (r,), (max(n - r + 2, 1), n))
+    probs = exact._row_pmf(table, n, r, side)
+    conj = side is Side.SMALLEST and r > 1
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(float(p) for p in probs),
                         conjectural=conj)

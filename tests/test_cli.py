@@ -85,7 +85,7 @@ def test_table_text_rounding(capsys) -> None:
 
 def test_table_engines_agree(capsys) -> None:
     baseline = None
-    for engine in ("exact", "exact-float", "float", "ktp", "ktp-float", "oracle"):
+    for engine in ("exact", "exact-float", "ktp", "ktp-float", "oracle"):
         _, out, _ = run(capsys, "table", "--kind", "permute", "--rank", "2",
                         "--n", "6", "--engine", engine, "--format", "json")
         row = json.loads(out)["rows"][0]
@@ -105,8 +105,7 @@ def test_table_output_file(capsys, tmp_path) -> None:
 
 
 def _fresh_float_tables(monkeypatch) -> None:
-    monkeypatch.setattr(exact, "_FLOAT_TABLES", {})
-    monkeypatch.setattr(ktp, "_V_NORM", {})
+    monkeypatch.setattr(exact, "_TABLES", {})
 
 
 @pytest.mark.parametrize("kind, engine", [("permute", "exact-float"),
@@ -137,18 +136,12 @@ def test_table_sweep_builds_once_per_side_and_rank(capsys, monkeypatch, kind, en
                                                    builds) -> None:
     _fresh_float_tables(monkeypatch)
     counts = {"chain": 0, "v_norm": 0}
-    chain_init, v_norm = exact._ThresholdTable.__init__, ktp._v_norm
+    for module, name, count in ((exact, "_build_chain", "chain"), (ktp, "_v_norm", "v_norm")):
+        def counted(*args, build=getattr(module, name), count=count):
+            counts[count] += 1
+            return build(*args)
 
-    def counted_init(self, *args):
-        counts["chain"] += 1
-        chain_init(self, *args)
-
-    def counted_v_norm(*args):
-        counts["v_norm"] += 1
-        return v_norm(*args)
-
-    monkeypatch.setattr(exact._ThresholdTable, "__init__", counted_init)
-    monkeypatch.setattr(ktp, "_v_norm", counted_v_norm)
+        monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "table", "--kind", kind, "--rank", "2",
                      "--n", "25,50,75,100", "--engine", engine, "--format", "csv")
     assert code == 0
@@ -278,6 +271,7 @@ def test_precision_error_has_its_own_exit_code(capsys, monkeypatch) -> None:
 
 
 def test_unknown_engine_is_rejected_by_parser(capsys) -> None:
-    with pytest.raises(SystemExit):
-        main(["table", "--kind", "permute", "--rank", "2", "--n", "5",
-              "--engine", "guess"])
+    for engine in ("guess", "float"):  # float was an alias of exact-float
+        with pytest.raises(SystemExit):
+            main(["table", "--kind", "permute", "--rank", "2", "--n", "5",
+                  "--engine", engine])

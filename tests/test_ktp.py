@@ -25,6 +25,7 @@ from permap.ktp import (
 from permap.stats import summarize
 
 P = ObjectKind.PERMUTATION
+M = ObjectKind.MAPPING
 L = Side.LARGEST
 S = Side.SMALLEST
 
@@ -203,15 +204,44 @@ def test_pmf_float_route_matches_exact_route() -> None:
                     assert abs(a - float(b)) <= 1e-12
 
 
-def test_pmf_float_smallest_side_is_guarded(monkeypatch) -> None:
+@pytest.mark.parametrize("side, read", [
+    (L, lambda n, r: exact.pmf_float(P, n, r, L)),  # threshold chain, CDF rows
+    (S, lambda n, r: exact.pmf_float(M, n, r, S)),  # threshold chain, tail rows
+    (S, lambda n, r: pmf_from_tables_float(r, n, S)),  # conjectural recursion
+], ids=["chain-P-largest", "chain-M-smallest", "v_norm-P-smallest"])
+def test_float_read_paths_are_guarded(monkeypatch, side, read) -> None:
     n, r = 30, 2
-    pmf_from_tables_float(r, n, S)  # fills the cache
-    k_max, n_max, table = ktp._V_NORM[r]
+    monkeypatch.setattr(exact, "_TABLES", {})
+    read(n, r)  # fills the store with the one table this path reads
+    ((key, (sizes, table)),) = exact._TABLES.items()
     doctored = table.copy()
-    doctored[n - r + 1, n] = -1e-6  # tail P{2nd shortest >= n-1}: one mass entry < 0
-    monkeypatch.setitem(ktp._V_NORM, r, (k_max, n_max, doctored))
+    # one mass entry < 0: P{2nd largest <= 0}, or the tail P{2nd smallest >= n-1}
+    doctored[n, 0 if side is L else n - r + 1] = -1e-6
+    monkeypatch.setitem(exact._TABLES, key, (sizes, doctored))
     with pytest.raises(PrecisionError):
-        pmf_from_tables_float(r, n, S)
+        read(n, r)
+
+
+@pytest.mark.parametrize("module, builder, read", [
+    (exact, "_build_chain", lambda n: exact.pmf_float(P, n, 2, L).probs),
+    (ktp, "_v_norm", lambda n: pmf_from_tables_float(2, n, S).probs),
+    (ktp, "_u_rows", lambda n: pmf_from_tables(1, n, L).probs),
+], ids=["chain", "v_norm", "exact-counts"])
+def test_grown_tables_grow_by_five_quarters(monkeypatch, module, builder, read) -> None:
+    build, sizes = getattr(module, builder), []
+
+    def counted(*args):
+        sizes.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(module, builder, counted)
+    monkeypatch.setattr(exact, "_TABLES", {})
+    grown = [read(n) for n in range(1, 101)]
+    # an exact-size regrow would build 100 times
+    assert sizes == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63, 78, 97, 121]
+    for n in (1, 9, 50, 99, 100):
+        monkeypatch.setattr(exact, "_TABLES", {})
+        assert read(n) == grown[n - 1], n  # bit for bit: no cell depends on the table size
 
 
 def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
@@ -282,7 +312,7 @@ def test_v_norm_is_the_column_major_recursion_bit_for_bit() -> None:
     for r in (1, 2, 3, 4):
         for n_max in (1, 2, 5, 37, 200):
             for k_max in {max(n_max - r + 2, 1), max(n_max // 3, 1), n_max + 4}:
-                got = ktp._v_norm(r, k_max, n_max)
+                got = ktp._v_norm(r, k_max, n_max).T
                 want = _column_major_v_norm(r, k_max, n_max)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (r, k_max, n_max)
