@@ -27,12 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import exp1
 
 from .kinds import Side
 
@@ -46,38 +48,11 @@ _QUAD_TOL = 1e-11
 # exponential integral
 
 def exp_integral(x: float) -> float:
-    """E(x) = integral of e^(-t)/t from x to infinity, for x > 0.
-
-    Convergent series below 1.5, modified Lentz continued fraction above;
-    absolute error stays within 1e-15 over [1e-12, 700].
-    """
+    """E(x) = integral of e^(-t)/t from x to infinity, for x > 0 (scipy's exp1)."""
     x = float(x)
     if x <= 0.0 or math.isnan(x):
         raise ValueError("exp_integral requires x > 0")
-    if x <= 1.5:
-        total = -_EULER_GAMMA - math.log(x)
-        term = x
-        k = 1
-        while abs(term) > 1e-18 * max(1.0, abs(total)):
-            total += term
-            k += 1
-            term *= -x * (k - 1) / (k * k)
-        return total
-    # continued fraction e^{-x}/(x+1- 1^2/(x+3- 2^2/(x+5- ...)))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        step = c * d
-        h *= step
-        if abs(step - 1.0) < 1e-17:
-            return h * math.exp(-x)
-    raise ArithmeticError(f"continued fraction failed to settle at x={x}")
+    return float(exp1(x))
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +74,8 @@ class DickmanTable:
         return min(1.0, max(0.0, float(self.pieces[m](x))))
 
 
-_TABLES: dict[int, DickmanTable] = {}
-
-
 def _build_table(r: int, x_max: int) -> DickmanTable:
-    lower = _TABLES.get(r - 1)
+    lower = _table(r - 1) if r > 1 else None
     pieces: list[Chebyshev] = [Chebyshev([1.0], domain=[0.0, 1.0])]
     for m in range(1, x_max):
         dom = [float(m), float(m + 1)]
@@ -123,13 +95,11 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
     return DickmanTable(r=r, x_max=float(x_max), pieces=tuple(pieces), accuracy=1e-12)
 
 
+@cache
 def _table(r: int) -> DickmanTable:
     if r < 1 or r > 4:
         raise ValueError("order must be in 1..4")
-    for q in range(1, r + 1):
-        if q not in _TABLES:
-            _TABLES[q] = _build_table(q, _X_MAX)
-    return _TABLES[r]
+    return _build_table(r, _X_MAX)
 
 
 def dickman(r: int, x: float) -> float:

@@ -14,10 +14,12 @@ table whose printed columns come from the conjectural shortest-side
 recursion (ktp engines, rank >= 2) says so: json carries a top-level
 "conjectural" key, text and csv print a one-line note on stderr.
 
-Exit codes: 0 success; 1 verification failure; 2 configuration error,
-including a request the library rejects (a ValueError, such as a rank
-the engine does not cover); 3 a float engine's precision guard failed
-(PrecisionError: a mass-sum or negative-mass check).
+Exit codes: 0 success; 1 verification failure; 2 configuration error:
+an argument the parser rejects (such as a negative --digits), a request
+the library rejects (a ValueError, such as a rank the engine does not
+cover), or an --output path that cannot be written; 3 a float engine's
+precision guard failed (PrecisionError: a mass-sum or negative-mass
+check).
 """
 
 from __future__ import annotations
@@ -108,11 +110,14 @@ def _table_rows(args) -> tuple[list[str], list[dict], bool]:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _render_table(cols: list[str], rows: list[dict], conjectural: bool, args) -> str:
@@ -273,6 +278,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list: {text!r}") from None
 
 
+def _digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad digit count: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {digits}")
+    return digits
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="permap",
@@ -288,12 +303,12 @@ def _parser() -> argparse.ArgumentParser:
                        metavar="N1,N2,...", help="comma-separated sizes")
     table.add_argument("--engine", choices=_ENGINES, default="exact-float")
     table.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    table.add_argument("--digits", type=int, default=6)
+    table.add_argument("--digits", type=_digits, default=6)
     table.add_argument("--output", metavar="PATH")
 
     consts = sub.add_parser("constants", help="limit constants")
     consts.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    consts.add_argument("--digits", type=int, default=20)
+    consts.add_argument("--digits", type=_digits, default=20)
     consts.add_argument("--output", metavar="PATH")
 
     verify = sub.add_parser("verify", help="cross-engine verification suites")

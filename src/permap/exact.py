@@ -23,16 +23,17 @@ threshold k the window projects onto a tiny sufficient statistic: the
 number of window entries beyond k.  Inserting j and dropping the
 minimum changes the count of >k entries by [j > k], capped at r, no
 matter what the window was, so the projection commutes with the window
-update (dually for the smallest side, where the pair "components so
-far, entries below k" is tracked).  The projected chain is run for
-every threshold at once as a numpy table, giving CDF columns whose
-differences are the PMF.  It is the exp-log schema of Flajolet and
-Sedgewick, Analytic Combinatorics, II and VII, on a small graph of
-levels: one (level, m) step is a masked mat-vec over the size of the
-new component, and with the uniform permutation split 1/m it becomes
-the prefix sums of Knuth and Trabb Pardo (1976).  The chain runs in
-float64 for both kinds and every n; ktp reads its longest-side float
-tables from it.
+update.  The smallest side counts components below k the same way, and
+its tail P{r-th smallest >= k} is P{fewer than r components below k}
+minus P{fewer than r components}; that difference of two values near 1
+costs about 1e-14 of absolute accuracy.  The projected chain is run for
+every threshold at once as a numpy table of r levels, one per count.
+It is the exp-log schema of Flajolet and Sedgewick, Analytic
+Combinatorics, II and VII: one (level, m) step is a masked mat-vec
+over the size of the new component, and with the uniform permutation
+split 1/m it becomes the prefix sums of Knuth and Trabb Pardo (1976).
+The chain runs in float64 for both kinds and every n; ktp reads its
+longest-side float tables from it.
 
 All computations are deterministic: summation orders are fixed, and
 results do not depend on call order, with one exception.  A mapping
@@ -216,101 +217,69 @@ def clear_memo() -> None:
 _MASS_TOL = 1e-9
 
 
-def _chain_levels(side: Side, r: int) -> tuple[dict, object]:
-    """Level graph of the projected chain, and its top level.
-
-    Each level maps to (low, high, start): the level that a new component
-    of size j <= cut[k] leads to, the level that a larger one leads to
-    (None: the identically-zero level), and the level's value on the empty
-    object.  Every edge goes to a level that sorts no later, so sorted()
-    order is a dependency order; the only cycles are self-loops.
-    """
-    if side is Side.LARGEST:
-        # level b: at most b components of size > k
-        return {b: (b, b - 1 if b else None, 1.0) for b in range(r)}, r - 1
-    # level (a, b): at least a components, fewer than b of size < k
-    graph: dict = {}
-    stack = [(r, r)]
-    while stack:
-        a, b = stack.pop()
-        if (a, b) in graph:
-            continue
-        below = max(a - 1, 0)
-        low = (below, b - 1) if b > 1 else None  # component below the threshold
-        graph[(a, b)] = (low, (below, b), 1.0 if a == 0 else 0.0)
-        stack += [t for t in (low, (below, b)) if t is not None]
-    return graph, (r, r)
-
-
 def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray:
     """Top level of the chain as a table[m, k], sizes m = 0..n_max.
 
-    Largest side: level b holds P{an m-object has at most b components of
-    size > k}, for b = 0..r-1 and thresholds k = 0..n_max//r.  Row n of
-    the top level r-1 is the CDF of the r-th largest size at n.
+    Level c = 0..r-1 holds P{an m-object has at most c counted
+    components}.  The largest side counts components of size > k, for
+    thresholds k = 0..n_max//r, and row n of the top level r-1 is the CDF
+    of the r-th largest size at n.  The smallest side counts components
+    of size < k, for k = 0..max(n_max-r+2, 1).  Its top level is
+    P{fewer than r components below k}; subtracting P{fewer than r
+    components}, which is row m's own value at k = max(m-r+2, 1) (r
+    components put the r-th smallest below m-r+2), leaves
+    P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
 
-    Smallest side: level (a, b) holds P{at least a components and fewer
-    than b components of size < k}, for k = 0..max(n_max-r+2, 1); the top
-    level (r, r) at k >= 1 is P{r-th smallest >= k}, with the
-    fewer-than-r-components digest 0.
-
-    One (level, m) step is a masked mat-vec over the sizes j of the new
-    component; with the uniform permutation split 1/m it is a pair of
-    gathers from prefix sums along m instead.  Levels are built in
-    dependency order and dropped once their last reader is done.
+    A new component of size j <= cut[k] leads to the same level on the
+    largest side and to level c-1 on the smallest; a larger one the other
+    way round.  One (level, m) step is a masked mat-vec over the sizes j;
+    with the uniform permutation split 1/m it is a pair of gathers from
+    prefix sums along m instead.  Only level c and level c-1 are alive.
     """
-    k_max = n_max // r if side is Side.LARGEST else max(n_max - r + 2, 1)
-    graph, top = _chain_levels(side, r)
-    order = sorted(graph)
-    last_read = {t: i for i, level in enumerate(order) for t in graph[level][:2] if t is not None}
+    largest = side is Side.LARGEST
+    k_max = n_max // r if largest else max(n_max - r + 2, 1)
     ks = np.arange(k_max + 1)
-    cut = ks if side is Side.LARGEST else np.maximum(ks - 1, 0)
+    cut = ks if largest else np.maximum(ks - 1, 0)
     width, rows = k_max + 1, n_max + 1
     uniform = kind is ObjectKind.PERMUTATION
     if uniform:
         out = np.empty((rows, width))
+        out[0] = 1.0
+        col = np.empty(width)
+        shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
     else:
         mask = np.arange(1, rows)[:, None] <= cut[None, :]  # mask[j-1, k]: j <= cut[k]
         splits = [None] + [np.asarray(first_component_split(kind, m)) for m in range(1, rows)]
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
-    built: dict = {}
-    for i, level in enumerate(order):
-        low, high, start = graph[level]
+        shape = (rows, width)
+    level = np.zeros(shape)  # level -1 is identically zero
+    for c in range(r):
+        prev, level = level, np.zeros(shape)
+        low, high = (level, prev) if largest else (prev, level)
         if uniform:
-            # built[level][i] = sum of the level's values at sizes < i
-            cum = built[level] = np.zeros((rows + 1, width))
-            cum[1] = start
-            lo, hi = built.get(low), built.get(high)
-            lo_flat = None if lo is None else lo.reshape(-1)
-            hi_flat = None if hi is None else hi.reshape(-1)
-            col = np.empty(width)
+            level[1] = 1.0  # the empty object
+            low_flat, high_flat = low.reshape(-1), high.reshape(-1)
             for m in range(1, rows):
                 idx = (m - np.minimum(cut, m)) * width + ks  # flat index of row m - min(cut, m)
-                col[:] = 0.0
-                if lo is not None:
-                    col += lo[m] - lo_flat[idx]  # j = 1..min(cut, m)
-                if hi is not None:
-                    col += hi_flat[idx]  # j = min(cut, m)+1..m
+                np.subtract(low[m], low_flat[idx], out=col)  # j = 1..min(cut, m)
+                col += high_flat[idx]  # j = min(cut, m)+1..m
                 col /= m
-                np.add(cum[m], col, out=cum[m + 1])
-                if level == top:
+                np.add(level[m], col, out=level[m + 1])
+                if c == r - 1:
                     out[m] = col
-            if level == top:
-                out[0] = start
         else:
-            tab = built[level] = np.zeros((rows, width))
-            tab[0] = start
-            lo, hi = built.get(low), built.get(high)
+            level[0] = 1.0  # the empty object
             for m in range(1, rows):
                 # block[j-1, k]: the value after a new component of size j
                 block = blocks[:m]
-                np.copyto(block, 0.0 if hi is None else hi[m - 1 :: -1])
-                np.copyto(block, 0.0 if lo is None else lo[m - 1 :: -1], where=mask[:m])
-                tab[m] = splits[m] @ block
-        for t in (low, high):
-            if t is not None and t != top and last_read[t] == i:
-                del built[t]
-    return out if uniform else built[top]
+                np.copyto(block, high[m - 1 :: -1])
+                np.copyto(block, low[m - 1 :: -1], where=mask[:m])
+                level[m] = splits[m] @ block
+    top = out if uniform else level
+    if not largest:
+        sizes = np.arange(rows)
+        top -= top[sizes, np.maximum(sizes - r + 2, 1)][:, None]
+    return top
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:

@@ -241,7 +241,8 @@ def test_verify_text_output(capsys) -> None:
 # config errors (distinct exit code)
 
 
-def test_config_error_exit_codes(capsys) -> None:
+def test_config_error_exit_codes(capsys, tmp_path) -> None:
+    unwritable = str(tmp_path / "missing" / "x.txt")
     cases = [
         ("table", "--kind", "map", "--rank", "2", "--n", "5", "--engine", "ktp"),
         ("table", "--kind", "map", "--rank", "2", "--n", "5", "--engine", "ktp-float"),
@@ -252,11 +253,24 @@ def test_config_error_exit_codes(capsys) -> None:
          "--side", "smallest"),
         ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp-float",
          "--side", "smallest"),
+        ("table", "--kind", "permute", "--n", "5", "--output", unwritable),
+        ("constants", "--output", unwritable),
+        ("verify", "--suite", "small-exact", "--output", unwritable),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:") and out == ""
+        if "--output" in argv:
+            assert err.startswith(f"error: cannot write {unwritable}: ") and "Traceback" not in err
+    # rejected by the parser, which exits 2 itself
+    for argv in (("table", "--kind", "permute", "--n", "5", "--digits", "-1"),
+                 ("constants", "--digits", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert "error: argument --digits: digits must be >= 0" in err and out == ""
 
 
 def test_precision_error_has_its_own_exit_code(capsys, monkeypatch) -> None:

@@ -211,7 +211,7 @@ def test_polynomial_mass_equals_total_count() -> None:
 def test_pmf_float_matches_exact_small() -> None:
     for kind in (P, M):
         for n in (1, 2, 4, 7, 12, 25):
-            for r in (1, 2, 3, 4):
+            for r in (1, 2, 3, 4, 5, 6):
                 for side in (L, S):
                     want = pmf(kind, n, r, side)
                     got = pmf_float(kind, n, r, side)
