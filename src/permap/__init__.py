@@ -13,9 +13,8 @@ from .kinds import (ObjectKind, Side, connected_count, first_component_split,
 from .exact import (INFINITY, PrecisionError, RowPolynomial, largest_poly,
                     pmf, pmf_float, smallest_poly, support_length)
 from .stats import ComponentPMF, SummaryStats, summarize
-from .ktp import (CycleCountTable, delta, harmonic, longest_table,
-                  longest_table_norm, pmf_from_tables, pmf_from_tables_float,
-                  shortest_table, shortest_table_norm, stirling_cycle)
+from .ktp import (CycleCountTable, delta, harmonic, longest_table, pmf_from_tables,
+                  pmf_from_tables_float, shortest_table, stirling_cycle)
 from .asymptotics import (DickmanTable, MomentConstant, constants_catalog,
                           density_f, density_g, dickman, exp_integral,
                           largest_cdf, median_xi, mode_x0, moment_L, moment_S)
@@ -29,8 +28,7 @@ __all__ = [
     "largest_poly", "smallest_poly", "pmf", "pmf_float", "support_length",
     "ComponentPMF", "SummaryStats", "summarize", "CycleCountTable", "delta",
     "harmonic", "stirling_cycle", "longest_table", "shortest_table",
-    "longest_table_norm", "shortest_table_norm", "pmf_from_tables",
-    "pmf_from_tables_float", "DickmanTable", "MomentConstant", "exp_integral",
+    "pmf_from_tables", "pmf_from_tables_float", "DickmanTable", "MomentConstant", "exp_integral",
     "dickman", "largest_cdf", "density_f", "density_g", "mode_x0",
     "median_xi", "moment_L", "moment_S", "constants_catalog", "decompose",
     "enumerate_pmf", "__version__",

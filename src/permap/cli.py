@@ -17,9 +17,9 @@ recursion (ktp engines, rank >= 2) says so: json carries a top-level
 Exit codes: 0 success; 1 verification failure; 2 configuration error:
 an argument the parser rejects (such as a negative --digits), a request
 the library rejects (a ValueError, such as a rank the engine does not
-cover), or an --output path that cannot be written; 3 a float engine's
-precision guard failed (PrecisionError: a mass-sum or negative-mass
-check).
+cover), or an --output path that cannot be written (checked up front);
+3 a float engine's precision guard failed (PrecisionError: a mass-sum or
+negative-mass check).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -107,6 +108,14 @@ def _table_rows(args) -> tuple[list[str], list[dict], bool]:
             row[col] = getattr(st, field)
         computed[n] = row
     return cols, [computed[n] for n in args.n], conjectural
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an --output that cannot be written, before any work; create nothing."""
+    folder = os.path.dirname(path or "") or "."
+    if path and (os.path.isdir(path) or not os.path.isdir(folder)
+                 or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -321,6 +330,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_output(args.output)
         if args.command == "table":
             if args.rank < 1:
                 raise ConfigError("rank must be a positive integer")

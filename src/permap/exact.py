@@ -28,20 +28,16 @@ its tail P{r-th smallest >= k} is P{fewer than r components below k}
 minus P{fewer than r components}; that difference of two values near 1
 costs about 1e-14 of absolute accuracy.  The projected chain is run for
 every threshold at once as a numpy table of r levels, one per count.
-It is the exp-log schema of Flajolet and Sedgewick, Analytic
-Combinatorics, II and VII: one (level, m) step is a masked mat-vec
-over the size of the new component, and with the uniform permutation
-split 1/m it becomes the prefix sums of Knuth and Trabb Pardo (1976).
-The chain runs in float64 for both kinds and every n; ktp reads its
-longest-side float tables from it.
+Both kinds are exp-log classes (Flajolet and Sedgewick, Analytic
+Combinatorics, II and VII): a new component has size j with probability
+q_j tau_{m-j} / (m tau_m) (kinds), so on levels scaled by tau one
+(level, m) step is m W[m] = sum_j q_j W'[m-j].  For permutations
+q = tau = 1 and the sums are the prefix sums of Knuth and Trabb Pardo
+(1976).  The chain runs in float64; ktp reads its longest-side float
+tables from it.
 
 All computations are deterministic: summation orders are fixed, and
-results do not depend on call order, with one exception.  A mapping
-float table is built by BLAS mat-vecs, which round a cell according to
-the table's width, so pmf_float(MAPPING, ...) read from a table grown
-for a larger n can differ from a one-size build in the last digits (up
-to 8.9e-15 relative seen; the test suite bounds it at 1e-13).
-Permutation tables and ktp's tables hold the same bits at every size.
+results do not depend on call order.
 
 Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
@@ -57,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import ObjectKind, Side, connected_count, first_component_split, total_count
+from .kinds import ObjectKind, Side, connected_count, exp_log_weights, total_count
 from .stats import ComponentPMF
 
 INFINITY: float = float("inf")
@@ -232,16 +228,19 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
 
     A new component of size j <= cut[k] leads to the same level on the
     largest side and to level c-1 on the smallest; a larger one the other
-    way round.  One (level, m) step is a masked mat-vec over the sizes j;
-    with the uniform permutation split 1/m it is a pair of gathers from
-    prefix sums along m instead.  Only level c and level c-1 are alive.
+    way round.  On levels scaled by tau, one (level, m) step sums q_j
+    times the level after size j over the rows j of a reused block, in the
+    same order at every table width, and divides by m; for permutations
+    (q = tau = 1) it is a pair of gathers from prefix sums along m.  Only
+    level c and level c-1 are alive.
     """
     largest = side is Side.LARGEST
     k_max = n_max // r if largest else max(n_max - r + 2, 1)
     ks = np.arange(k_max + 1)
     cut = ks if largest else np.maximum(ks - 1, 0)
     width, rows = k_max + 1, n_max + 1
-    uniform = kind is ObjectKind.PERMUTATION
+    q, tau = exp_log_weights(kind, n_max)
+    uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
     if uniform:
         out = np.empty((rows, width))
         out[0] = 1.0
@@ -249,7 +248,6 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
         shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
     else:
         mask = np.arange(1, rows)[:, None] <= cut[None, :]  # mask[j-1, k]: j <= cut[k]
-        splits = [None] + [np.asarray(first_component_split(kind, m)) for m in range(1, rows)]
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
     level = np.zeros(shape)  # level -1 is identically zero
@@ -274,8 +272,11 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
                 block = blocks[:m]
                 np.copyto(block, high[m - 1 :: -1])
                 np.copyto(block, low[m - 1 :: -1], where=mask[:m])
-                level[m] = splits[m] @ block
+                block *= q[1 : m + 1, None]
+                np.sum(block, axis=0, out=level[m])  # row by row: the same order at any width
+                level[m] /= m
     top = out if uniform else level
+    top /= tau[:, None]
     if not largest:
         sizes = np.arange(rows)
         top -= top[sizes, np.maximum(sizes - r + 2, 1)][:, None]

@@ -15,14 +15,22 @@ The mapping sum is the all-integer rearrangement of the classical
 n! * sum_j n^(n-j-1)/(n-j)! (the j = n term of the classical form is
 fractional; multiplying through by n/n makes every term an integer).
 First values: 1, 3, 17, 142, 1569.
+
+Both are exp-log classes of type a = 1 (permutations) or 1/2 (mappings).
+With q_j = c_j e^-j/(j-1)!, which tends to a, and tau_m = t_m e^-m/m!, the
+lowest label's component has size j with probability q_j tau_{m-j}/(m tau_m).
+Permutations have q = tau = 1; mappings q_j = P{Poisson(j) < j} and
+tau_m = m^m e^-m/m!.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+from scipy.special import gammaincc
 
 
 class ObjectKind(Enum):
@@ -65,7 +73,6 @@ def total_count(kind: ObjectKind, n: int) -> int:
     return n**n if n > 0 else 1  # 0^0 = 1: the empty mapping
 
 
-@lru_cache(maxsize=None)
 def first_component_split(kind: ObjectKind, n: int) -> tuple[float, ...]:
     """Probabilities that the component containing the lowest label has size j.
 
@@ -90,12 +97,17 @@ def first_component_split(kind: ObjectKind, n: int) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def first_component_split_exact(kind: ObjectKind, n: int) -> tuple[Fraction, ...]:
-    """Exact-rational version of first_component_split, for validation."""
-    if n < 1:
-        raise ValueError(f"first_component_split_exact requires n >= 1, got {n}")
-    den = total_count(kind, n)
-    return tuple(
-        Fraction(connected_count(kind, j) * math.comb(n - 1, j - 1) * total_count(kind, n - j), den)
-        for j in range(1, n + 1)
-    )
+def exp_log_weights(kind: ObjectKind, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays q[0..m_max] (q[0] = 0) and tau[0..m_max], as described above.
+
+    tau[m] is the product of the ratios tau[i]/tau[i-1], each
+    exp((i-1) log1p(1/(i-1)) - 1); exp(log tau[m]) would lose digits.
+    """
+    q, tau = np.ones(m_max + 1), np.ones(m_max + 1)
+    q[0] = 0.0
+    if kind is ObjectKind.MAPPING:
+        j = np.arange(1, m_max + 1, dtype=np.float64)
+        q[1:] = gammaincc(j, j)
+        p = j - 1  # m - 1 for m = 1..m_max; the ratio at m = 1 is 1/e
+        tau[1:] = np.cumprod(np.exp(p * np.log1p(1 / np.maximum(p, 1)) - 1))
+    return q, tau

@@ -318,28 +318,6 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     return z
 
 
-def longest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    """w[k, n] = u_r(k, n)/n! as float64, from the threshold-chain kernel.
-
-    The kernel's thresholds stop at n_max//r; every cell past them is 1.
-    """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    chain = exact._stored(exact._build_chain, (ObjectKind.PERMUTATION, Side.LARGEST, r),
-                          (n_max,))
-    out = np.ones((k_max + 1, n_max + 1))
-    rows = min(k_max + 1, chain.shape[1])
-    out[:rows] = chain[: n_max + 1, :rows].T
-    return out
-
-
-def shortest_table_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
-    """z[k, n] = v_r(k, n)/n! as float64 (conjectural recursion for r >= 2)."""
-    if r < 1 or r > _MAX_RANK:
-        raise ValueError(f"rank must be in 1..{_MAX_RANK}")
-    return exact._stored(_v_norm, (r,), (k_max, n_max))[: n_max + 1, : k_max + 1].T
-
-
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     """Float PMF of the r-th ranked cycle size from the normalised tables.
 

@@ -122,11 +122,7 @@ def test_table_sweep_rows_match_one_size_calls(capsys, monkeypatch, kind, engine
     assert [row["n"] for row in sweep] == [60, 20, 40, 20]
     for got in sweep:
         want = rows(str(got["n"]))[0]
-        if kind == "permute":
-            assert got == want  # prefix sums along m: a cell never depends on the table size
-        else:
-            # the mapping kernel's mat-vec rounds a cell according to the table width
-            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got == want  # a cell never depends on the table size
 
 
 @pytest.mark.parametrize("kind, engine, builds", [("permute", "ktp-float", (1, 1)),
@@ -271,6 +267,18 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         out, err = capsys.readouterr()
         assert exc.value.code == 2, argv
         assert "error: argument --digits: digits must be >= 0" in err and out == ""
+
+
+def test_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path) -> None:
+    calls = []
+    monkeypatch.setattr(exact, "pmf_float", lambda *args: calls.append(args))
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, "table", "--kind", "mapping", "--rank", "2",
+                             "--n", "434", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []  # nothing created
 
 
 def test_precision_error_has_its_own_exit_code(capsys, monkeypatch) -> None:

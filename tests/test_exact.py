@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permap.exact import (
     INFINITY,
     PrecisionError,
+    _build_chain,
     demote,
     largest_poly,
     memo_stats,
@@ -233,6 +235,17 @@ def test_pmf_float_extended_precision_path() -> None:
     hi = pmf_float(M, 201, 2, L)
     assert abs(sum(lo.probs) - 1.0) <= 1e-11
     assert abs(sum(hi.probs) - 1.0) <= 1e-11
+
+
+def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
+    # each cell sums over the new component's size in one fixed order, so
+    # row n of a table built for a larger n_max holds a one-size build's bits
+    for side in (L, S):
+        for r in (1, 2, 3, 4):
+            grown = _build_chain(M, side, r, 160)
+            for n in range(1, 161):
+                alone = _build_chain(M, side, r, n)
+                assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
 
 
 def test_precision_error_is_arithmetic_error() -> None:

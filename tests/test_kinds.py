@@ -5,14 +5,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permap.kinds import (
     ObjectKind,
     Side,
     connected_count,
+    exp_log_weights,
     first_component_split,
-    first_component_split_exact,
     total_count,
 )
 
@@ -20,6 +21,15 @@ P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
 
 CONNECTED_MAPPINGS = {1: 1, 2: 3, 3: 17, 4: 142, 5: 1569}
+
+
+def first_component_split_exact(kind: ObjectKind, n: int) -> tuple[Fraction, ...]:
+    """The split P_n(j) = c_j C(n-1, j-1) t_{n-j} / t_n as exact rationals."""
+    den = total_count(kind, n)
+    return tuple(
+        Fraction(connected_count(kind, j) * math.comb(n - 1, j - 1) * total_count(kind, n - j), den)
+        for j in range(1, n + 1)
+    )
 
 
 def test_connected_permutations_are_single_cycles() -> None:
@@ -104,10 +114,32 @@ def test_first_component_split_is_the_direct_formula_bit_for_bit() -> None:
 
 
 def test_first_component_split_rejects_empty() -> None:
-    with pytest.raises(ValueError):
-        first_component_split(P, 0)
-    with pytest.raises(ValueError):
-        first_component_split_exact(M, 0)
+    for kind in (P, M):
+        with pytest.raises(ValueError):
+            first_component_split(kind, 0)
+
+
+def test_exp_log_weights_give_the_first_component_split() -> None:
+    # q[j] tau[m-j] / (m tau[m]) is the split; tau from exp(log tau) is off
+    # by about 2e-12 relative at m = 800 and fails this bound
+    q, tau = exp_log_weights(M, 800)
+    for m in (1, 2, 3, 25, 100, 434, 800):
+        j = np.arange(1, m + 1)
+        got = q[j] * tau[m - j] / (m * tau[m])
+        want = np.array(first_component_split(M, m))
+        assert np.max(np.abs(got / want - 1)) <= 1e-13, m
+    q, tau = exp_log_weights(P, 60)
+    for m in range(1, 61):
+        j = np.arange(1, m + 1)
+        assert np.all(q[j] * tau[m - j] / (m * tau[m]) == 1 / m)
+
+
+def test_exp_log_weights_tend_to_the_type() -> None:
+    # q_j -> a: 1 for permutations, 1/2 for mappings
+    q, _ = exp_log_weights(M, 800)
+    assert q[800] == pytest.approx(0.49530, abs=1e-5)
+    assert np.all(np.diff(q[1:]) > 0) and q[800] < 0.5
+    assert np.all(exp_log_weights(P, 800)[0][1:] == 1.0)
 
 
 def test_enums_are_disjoint() -> None:

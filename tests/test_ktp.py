@@ -15,11 +15,9 @@ from permap.ktp import (
     delta,
     harmonic,
     longest_table,
-    longest_table_norm,
     pmf_from_tables,
     pmf_from_tables_float,
     shortest_table,
-    shortest_table_norm,
     stirling_cycle,
 )
 from permap.stats import summarize
@@ -172,25 +170,26 @@ def test_pmf_from_tables_matches_rank_window_engine() -> None:
 
 
 def test_normalized_u_matches_exact() -> None:
+    # the largest-side float table is the threshold chain's, [n, k] for k <= 40//r
     for r in (1, 2, 3, 4):
         table = longest_table(r, 20, 40)
-        norm = longest_table_norm(r, 20, 40)
+        norm = exact._build_chain(P, L, r, 40)
         for n in (1, 7, 23, 40):
             bound = math.factorial(n)
-            for k in range(0, 21):
+            for k in range(0, min(20, 40 // r) + 1):
                 want = table.counts[k][n] / bound
-                assert norm[k][n] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert norm[n, k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_normalized_v_matches_exact() -> None:
     for r in (1, 2, 3, 4):
         table = shortest_table(r, 20, 40)
-        norm = shortest_table_norm(r, 20, 40)
+        norm = ktp._v_norm(r, 20, 40)
         for n in (1, 7, 23, 40):
             bound = math.factorial(n)
             for k in range(0, 21):
                 want = table.counts[k][n] / bound
-                assert norm[k][n] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert norm[n, k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_pmf_float_route_matches_exact_route() -> None:

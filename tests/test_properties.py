@@ -22,11 +22,11 @@ from permap.kinds import (
     ObjectKind,
     Side,
     first_component_split,
-    first_component_split_exact,
     total_count,
 )
 from permap.ktp import delta, harmonic, stirling_cycle
 from permap.stats import ComponentPMF, summarize
+from test_kinds import first_component_split_exact
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
