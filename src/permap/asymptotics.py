@@ -64,7 +64,6 @@ class DickmanTable:
     r: int
     x_max: float
     pieces: tuple[Chebyshev, ...]  # pieces[m] covers [m, m+1]
-    accuracy: float
 
     def value(self, x: float) -> float:
         if x < 0.0 or x > self.x_max:
@@ -92,7 +91,7 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
         hpoly = Chebyshev(chebyshev.chebinterpolate(integrand, _DEGREE), domain=dom)
         start = Chebyshev([float(own_prev(float(m)))], domain=dom)
         pieces.append(start - hpoly.integ(lbnd=float(m)))
-    return DickmanTable(r=r, x_max=float(x_max), pieces=tuple(pieces), accuracy=1e-12)
+    return DickmanTable(r=r, x_max=float(x_max), pieces=tuple(pieces))
 
 
 @cache

@@ -17,8 +17,9 @@ recursion (ktp engines, rank >= 2) says so: json carries a top-level
 Exit codes: 0 success; 1 verification failure; 2 configuration error:
 an argument the parser rejects (such as a negative --digits), a request
 the library rejects (a ValueError, such as a rank the engine does not
-cover), or an --output path that cannot be written (checked up front);
-3 a float engine's precision guard failed (PrecisionError: a mass-sum or
+cover), an --output path that cannot be written (checked up front), or
+a request too large for the memory at hand (MemoryError); 3 a float
+engine's precision guard failed (PrecisionError: a mass-sum or
 negative-mass check).
 """
 
@@ -282,9 +283,12 @@ def _cmd_verify(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.replace(",", " ").split()]
+        sizes = [int(part) for part in text.replace(",", " ").split()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list: {text!r}") from None
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"bad integer list: {text!r}")
+    return sizes
 
 
 def _digits(text: str) -> int:
@@ -349,6 +353,9 @@ def main(argv=None) -> int:
     except exact.PrecisionError as exc:
         print(f"error: float precision guard failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,13 @@ any real size); on the smallest side it starts as r copies of INFINITY
 (placeholders above any real size), and a surviving INFINITY digest
 means the object had fewer than r components, reported as size 0.
 
+The memo keys a row on m, the number of nodes left, and a canonical
+window; later components have size <= m.  Largest side: once the minimum
+is >= m the row is t_m x^min; otherwise an entry >= m is never displaced,
+and is the digest only beside one size-m component: it is stored as m.
+Smallest side, m >= 1: the next component displaces a maximum >= m, or
+ties it, so the maximum is stored as INFINITY.
+
 The float engine runs the same recursion normalised by the total count
 t_n.  Tracking whole windows in floating point is hopeless at table
 sizes (the window space grows like n^r per level), but for one fixed
@@ -49,6 +56,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -88,64 +96,60 @@ def demote(ranks: Sequence[RankEntry], j: int) -> tuple[RankEntry, ...]:
 # exact engine
 
 _MEMO: dict[tuple[ObjectKind, Side], dict] = {}
-_PASCAL: dict[int, list[int]] = {}
 
 
-def _pascal_row(m: int) -> list[int]:
-    row = _PASCAL.get(m)
-    if row is None:
-        row = [1]
-        for i in range(m):
-            row.append(row[-1] * (m - i) // (i + 1))
-        _PASCAL[m] = row
-    return row
-
-
-def _validate_window(ranks, allow_infinite: bool) -> tuple[RankEntry, ...]:
-    window = tuple(sorted(ranks))
-    if not window:
-        raise ValueError("rank window must have at least one entry")
-    for entry in window:
-        if entry == INFINITY:
-            if not allow_infinite:
-                raise ValueError("INFINITY entries only make sense on the smallest side")
-        elif not isinstance(entry, int) or entry < 0:
-            raise ValueError(f"rank window entries must be integers >= 0, got {entry!r}")
-    return window
+@cache
+def _weights(kind: ObjectKind, m: int) -> tuple[int, ...]:
+    """Ways c_j * C(m-1, j-1) to complete a new component of size j = 1..m."""
+    out, binom = [], 1
+    for j in range(1, m + 1):
+        out.append(connected_count(kind, j) * binom)
+        binom = binom * (m - j) // j
+    return tuple(out)
 
 
 def _row_coeffs(kind: ObjectKind, side: Side, n: int, window) -> tuple[int, ...]:
     memo = _MEMO.setdefault((kind, side), {})
-    step = promote if side is Side.LARGEST else demote
-    conn = [0] + [connected_count(kind, j) for j in range(1, n + 1)]
+    largest = side is Side.LARGEST
+    step = promote if largest else demote
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 200))
 
     def rec(m: int, ranks) -> tuple[int, ...]:
-        key = (m, ranks)
-        hit = memo.get(key)
-        if hit is not None:
+        if largest:
+            if ranks[0] >= m:  # sizes <= m displace nothing: the window is final
+                return (0,) * ranks[0] + (total_count(kind, m),)
+            ranks = tuple(min(entry, m) for entry in ranks)
+        elif m == 0:  # an INFINITY digest: fewer than r components, size 0
+            return (1,) if ranks[-1] == INFINITY else (0,) * ranks[-1] + (1,)
+        elif m <= ranks[-1] < INFINITY:
+            ranks = ranks[:-1] + (INFINITY,)
+        if (hit := memo.get((m, ranks))) is not None:
             return hit
-        if m == 0:
-            digest = ranks[0] if side is Side.LARGEST else ranks[-1]
-            if digest == INFINITY:  # fewer than r components ever appeared
-                digest = 0
-            out = (0,) * digest + (1,)
-        else:
-            acc: list[int] = []
-            row = _pascal_row(m - 1)
-            for j in range(1, m + 1):
-                weight = conn[j] * row[j - 1]
-                child = rec(m - j, step(ranks, j))
-                if len(child) > len(acc):
-                    acc.extend([0] * (len(child) - len(acc)))
-                for i, coef in enumerate(child):
-                    if coef:
-                        acc[i] += weight * coef
-            out = tuple(acc)
-        memo[key] = out
+        acc: list[int] = []
+        for j, weight in enumerate(_weights(kind, m), 1):
+            child = rec(m - j, step(ranks, j))
+            acc.extend([0] * (len(child) - len(acc)))
+            for i, coef in enumerate(child):
+                if coef:
+                    acc[i] += weight * coef
+        memo[m, ranks] = out = tuple(acc)
         return out
 
     return rec(n, window)
+
+
+def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    window = tuple(sorted(ranks))
+    if not window:
+        raise ValueError("rank window must have at least one entry")
+    for entry in window:
+        if entry == INFINITY and side is Side.LARGEST:
+            raise ValueError("INFINITY entries only make sense on the smallest side")
+        if entry != INFINITY and (not isinstance(entry, int) or entry < 0):
+            raise ValueError(f"rank window entries must be integers >= 0, got {entry!r}")
+    return RowPolynomial(_row_coeffs(kind, side, n, window), n, side)
 
 
 def largest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
@@ -154,10 +158,7 @@ def largest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPol
     largest_poly(kind, n, (0,)*r) generates the distribution of the r-th
     largest component size over all n-objects of the kind.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    window = _validate_window(ranks, allow_infinite=False)
-    return RowPolynomial(_row_coeffs(kind, Side.LARGEST, n, window), n, Side.LARGEST)
+    return _poly(kind, Side.LARGEST, n, ranks)
 
 
 def smallest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
@@ -166,10 +167,7 @@ def smallest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPo
     smallest_poly(kind, n, (INFINITY,)*r) generates the distribution of the
     r-th smallest component size, with fewer-than-r-components reported as 0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    window = _validate_window(ranks, allow_infinite=True)
-    return RowPolynomial(_row_coeffs(kind, Side.SMALLEST, n, window), n, Side.SMALLEST)
+    return _poly(kind, Side.SMALLEST, n, ranks)
 
 
 def support_length(n: int, r: int, side: Side) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .exact import support_length
@@ -49,19 +50,14 @@ def decompose(kind: ObjectKind, f: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(sizes.values()))
 
 
-_SPECTRA: dict[tuple[ObjectKind, int], Counter] = {}
-
-
+@cache
 def _spectrum(kind: ObjectKind, n: int) -> Counter:
     """Counter of ascending component-size tuples over all n-objects."""
-    key = (kind, n)
-    if key not in _SPECTRA:
-        if kind is ObjectKind.PERMUTATION:
-            tables = itertools.permutations(range(1, n + 1))
-        else:
-            tables = itertools.product(range(1, n + 1), repeat=n)
-        _SPECTRA[key] = Counter(decompose(kind, f) for f in tables)
-    return _SPECTRA[key]
+    if kind is ObjectKind.PERMUTATION:
+        tables = itertools.permutations(range(1, n + 1))
+    else:
+        tables = itertools.product(range(1, n + 1), repeat=n)
+    return Counter(decompose(kind, f) for f in tables)
 
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:

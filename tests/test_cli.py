@@ -260,13 +260,29 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         if "--output" in argv:
             assert err.startswith(f"error: cannot write {unwritable}: ") and "Traceback" not in err
     # rejected by the parser, which exits 2 itself
-    for argv in (("table", "--kind", "permute", "--n", "5", "--digits", "-1"),
-                 ("constants", "--digits", "-1")):
+    negative_digits = "error: argument --digits: digits must be >= 0"
+    no_sizes = "error: argument --n: bad integer list: ','"
+    for argv, message in (
+        (("table", "--kind", "permute", "--n", "5", "--digits", "-1"), negative_digits),
+        (("constants", "--digits", "-1"), negative_digits),
+        (("table", "--kind", "permute", "--n", ",", "--engine", "ktp-float"), no_sizes),
+        (("table", "--kind", "permute", "--n", ",", "--engine", "exact"), no_sizes),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         out, err = capsys.readouterr()
         assert exc.value.code == 2, argv
-        assert "error: argument --digits: digits must be >= 0" in err and out == ""
+        assert message in err and out == ""
+
+
+def test_memory_error_exits_2_without_a_traceback(capsys, monkeypatch) -> None:
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(exact, "pmf_float", exhausted)
+    code, out, err = run(capsys, "table", "--kind", "mapping", "--n", "434")
+    assert code == 2 and out == ""
+    assert err == "error: not enough memory for this request\n"
 
 
 def test_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path) -> None:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from permap import exact
 from permap.exact import (
     INFINITY,
     PrecisionError,
@@ -21,6 +24,7 @@ from permap.exact import (
     support_length,
 )
 from permap.kinds import ObjectKind, Side, total_count
+from permap.oracle import decompose
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -127,6 +131,29 @@ def test_smallest_intermediate_windows(kind, c) -> None:
     ]
     for (n, window), expected in cases:
         assert trimmed(smallest_poly(kind, n, window).coeffs) == trimmed(expected)
+
+
+def test_every_small_window_matches_enumeration() -> None:
+    # windows with entries at or above the nodes left are the ones the
+    # memo keys collapse; the r-th ranked size of window + components is
+    # the digest
+    for kind, n_top in ((P, 6), (M, 5)):
+        for n in range(n_top + 1):
+            tables = (itertools.permutations(range(1, n + 1)) if kind is P
+                      else itertools.product(range(1, n + 1), repeat=n))
+            spectrum = Counter(decompose(kind, f) for f in tables)
+            for r in (1, 2, 3):
+                for side, entries in ((L, range(n + 3)), (S, [*range(n + 3), INFINITY])):
+                    for window in itertools.combinations_with_replacement(entries, r):
+                        tally = Counter()
+                        for sizes, count in spectrum.items():
+                            merged = sorted(window + sizes)
+                            digest = merged[-r] if side is L else merged[r - 1]
+                            tally[0 if digest == INFINITY else digest] += count
+                        want = tuple(tally[k] for k in range(max(tally) + 1))
+                        poly = largest_poly if side is L else smallest_poly
+                        got = poly(kind, n, window).coeffs
+                        assert trimmed(got) == want, (kind, n, side, window)
 
 
 def test_row_polynomial_metadata() -> None:
@@ -252,7 +279,14 @@ def test_precision_error_is_arithmetic_error() -> None:
     assert issubclass(PrecisionError, ArithmeticError)
 
 
-def test_memo_stats_reports_sizes() -> None:
+def test_memo_stats_reports_sizes(monkeypatch) -> None:
     largest_poly(P, 6, (0, 0))
     sizes = memo_stats()
     assert any(count > 0 for count in sizes.values())
+    # canonical windows: raw windows held 46,977 and 17,338 entries here
+    monkeypatch.setattr(exact, "_MEMO", {})
+    pmf(P, 40, 4, L)
+    pmf(P, 40, 4, S)
+    sizes = memo_stats()
+    assert sizes["permutation/largest"] <= 11_163
+    assert sizes["permutation/smallest"] <= 10_023
