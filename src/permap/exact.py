@@ -23,6 +23,17 @@ and is the digest only beside one size-m component: it is stored as m.
 Smallest side, m >= 1: the next component displaces a maximum >= m, or
 ties it, so the maximum is stored as INFINITY.
 
+Rows are packed by Kronecker substitution (Schoenhage 1982): a row
+polynomial is stored as one int, coefficient k in slot k, B bits wide,
+so a step sums weight * child rows in big-integer arithmetic, and each
+request unpacks its row once.  Every coefficient of a row at
+(m, window) lies in 0..t_m, so slots of bits(t_n) + 2 bits never carry
+for a request of size n; the unpacked row must still sum to t_n (a
+carry would lower the sum), or ArithmeticError is raised.  A packed row
+is valid at its own slot width only: each memo holds one width, a power
+of two >= 64, and a request that needs wider slots starts a fresh memo
+rather than mixing widths, so an ascending sweep rebuilds O(log n) times.
+
 The float engine runs the same recursion normalised by the total count
 t_n.  Tracking whole windows in floating point is hopeless at table
 sizes (the window space grows like n^r per level), but for one fixed
@@ -54,6 +65,7 @@ one grow rule; create none of your own state here.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -95,7 +107,7 @@ def demote(ranks: Sequence[RankEntry], j: int) -> tuple[RankEntry, ...]:
 # ---------------------------------------------------------------------------
 # exact engine
 
-_MEMO: dict[tuple[ObjectKind, Side], dict] = {}
+_MEMO: dict[tuple[ObjectKind, Side], tuple[int, dict]] = {}
 
 
 @cache
@@ -108,34 +120,82 @@ def _weights(kind: ObjectKind, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row_coeffs(kind: ObjectKind, side: Side, n: int, window) -> tuple[int, ...]:
-    memo = _MEMO.setdefault((kind, side), {})
-    largest = side is Side.LARGEST
-    step = promote if largest else demote
+def _unpack(row: int, width: int, total: int) -> tuple[int, ...]:
+    """Slots 0..top of a packed row; raises if they do not sum to total.
+
+    The row is sum_k c_k 2^(k width) exactly, so its slots are the c_k
+    unless some c_k >= 2^width carried into the next slot, and each carry
+    lowers the slot sum by 2^width - 1.
+    """
+    mask = (1 << width) - 1
+    coeffs = tuple((row >> shift) & mask for shift in range(0, row.bit_length(), width))
+    if sum(coeffs) != total:
+        raise ArithmeticError(f"packed row carried: slots sum to {sum(coeffs)}, not {total}")
+    return coeffs
+
+
+def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[int, ...]:
+    # coefficients of a row at m <= n are at most t_m <= t_n
+    need = total_count(kind, n).bit_length() + 2
+    width, rows = _MEMO.get((kind, side), (0, {}))
+    if width < need:  # rows are valid at one width: start afresh, never mix
+        width, rows = max(64, 1 << (need - 1).bit_length()), {}
+        _MEMO[kind, side] = width, rows
+    totals = [total_count(kind, m) for m in range(n + 1)]
+    r = len(window)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 200))
 
-    def rec(m: int, ranks) -> tuple[int, ...]:
-        if largest:
-            if ranks[0] >= m:  # sizes <= m displace nothing: the window is final
-                return (0,) * ranks[0] + (total_count(kind, m),)
-            ranks = tuple(min(entry, m) for entry in ranks)
-        elif m == 0:  # an INFINITY digest: fewer than r components, size 0
-            return (1,) if ranks[-1] == INFINITY else (0,) * ranks[-1] + (1,)
-        elif m <= ranks[-1] < INFINITY:
-            ranks = ranks[:-1] + (INFINITY,)
-        if (hit := memo.get((m, ranks))) is not None:
-            return hit
-        acc: list[int] = []
+    # largest/smallest(m, ranks) run one step from a canonical window that
+    # is not final; each child is made canonical inline and looked up
+    # before recursing, so a memo hit costs no call
+    def largest(m: int, ranks: tuple) -> int:
+        acc = 0
         for j, weight in enumerate(_weights(kind, m), 1):
-            child = rec(m - j, step(ranks, j))
-            acc.extend([0] * (len(child) - len(acc)))
-            for i, coef in enumerate(child):
-                if coef:
-                    acc[i] += weight * coef
-        memo[m, ranks] = out = tuple(acc)
-        return out
+            i = bisect_right(ranks, j)
+            child = ranks[1:i] + (j,) + ranks[i:] if i else ranks
+            left = m - j
+            if child[0] >= left:  # sizes <= left displace nothing: the window is final
+                acc += (weight * totals[left]) << (child[0] * width)
+                continue
+            k = bisect_left(child, left)
+            if k < r:
+                child = child[:k] + (left,) * (r - k)
+            row = rows.get((left, child))
+            acc += weight * (largest(left, child) if row is None else row)
+        rows[m, ranks] = acc
+        return acc
 
-    return rec(n, window)
+    def smallest(m: int, ranks: tuple) -> int:
+        acc = 0
+        for j, weight in enumerate(_weights(kind, m), 1):
+            i = bisect_right(ranks, j)
+            child = ranks[:i] + (j,) + ranks[i:-1] if i < r else ranks
+            left = m - j
+            high = child[-1]
+            if left == 0:  # an INFINITY digest: fewer than r components, size 0
+                acc += weight if high == INFINITY else weight << (high * width)
+                continue
+            if left <= high < INFINITY:
+                child = child[:-1] + (INFINITY,)
+            row = rows.get((left, child))
+            acc += weight * (smallest(left, child) if row is None else row)
+        rows[m, ranks] = acc
+        return acc
+
+    if side is Side.LARGEST:
+        if window[0] >= n:
+            return (0,) * window[0] + (totals[n],)
+        k = bisect_left(window, n)
+        window = window[:k] + (n,) * (r - k)
+        rec = largest
+    else:
+        if n == 0:
+            return (1,) if window[-1] == INFINITY else (0,) * window[-1] + (1,)
+        if n <= window[-1] < INFINITY:
+            window = window[:-1] + (INFINITY,)
+        rec = smallest
+    row = rows.get((n, window))
+    return _unpack(rec(n, window) if row is None else row, width, totals[n])
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
@@ -196,13 +256,12 @@ def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
 
 
 def memo_stats() -> dict[str, int]:
-    """Measured memo sizes per (kind, side) engine, for capacity planning."""
-    return {f"{kind.value}/{side.value}": len(memo) for (kind, side), memo in _MEMO.items()}
+    """Rows held per (kind, side) memo at its current slot width, for capacity planning."""
+    return {f"{kind.value}/{side.value}": len(rows) for (kind, side), (_, rows) in _MEMO.items()}
 
 
 def clear_memo() -> None:
-    for memo in _MEMO.values():
-        memo.clear()
+    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -290,3 +290,28 @@ def test_memo_stats_reports_sizes(monkeypatch) -> None:
     sizes = memo_stats()
     assert sizes["permutation/largest"] <= 11_163
     assert sizes["permutation/smallest"] <= 10_023
+
+
+def test_unpack_rejects_a_carried_row() -> None:
+    coeffs = (0, 3, 0, 5, 1)
+
+    def packed(width: int) -> int:
+        return sum(c << (k * width) for k, c in enumerate(coeffs))
+
+    assert exact._unpack(packed(4), 4, 9) == coeffs
+    # 2-bit slots hold 3 but not 5: slot 3 carries into slot 4
+    with pytest.raises(ArithmeticError):
+        exact._unpack(packed(2), 2, 9)
+
+
+@pytest.mark.parametrize("kind,small,large", [(P, 12, 45), (M, 8, 20)])
+@pytest.mark.parametrize("side", [L, S])
+def test_window_rows_do_not_depend_on_the_slot_width(monkeypatch, kind, small, large, side) -> None:
+    monkeypatch.setattr(exact, "_MEMO", {})
+    alone = pmf(kind, small, 3, side).probs
+    narrow = exact._MEMO[kind, side][0]
+    pmf(kind, large, 2, side)
+    assert exact._MEMO[kind, side][0] > narrow  # the larger request widened the slots
+    assert pmf(kind, small, 3, side).probs == alone
+    exact.clear_memo()
+    assert sum(memo_stats().values()) == 0

@@ -4,7 +4,8 @@ Covers the structural properties promised by the library: exact mass
 conservation, support bounds, rank monotonicity, the Stirling identity for
 the harmonic correction term, normalization of the limit densities, and
 the ordering/range of the Dickman family -- plus randomized checks of the
-small algebraic helpers.  Runnable on its own: `pytest tests/test_properties.py`.
+small algebraic helpers and of the window engine against the raw window
+recursion.  Runnable on its own: `pytest tests/test_properties.py`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from permap import exact
@@ -21,6 +22,7 @@ from permap.asymptotics import density_f, density_g, dickman, largest_cdf
 from permap.kinds import (
     ObjectKind,
     Side,
+    connected_count,
     first_component_split,
     total_count,
 )
@@ -178,6 +180,51 @@ def test_demote_drops_largest(window, j) -> None:
     assert len(got) == len(window)
     assert list(got) == sorted(got)
     assert sorted(list(got) + [pool[-1]]) == pool
+
+
+def raw_row(kind: ObjectKind, side: Side, m: int, window: tuple) -> tuple[int, ...]:
+    """The window recursion as defined: no memo, no canonical windows."""
+    if m == 0:
+        digest = window[0] if side is L else window[-1]
+        return (1,) if digest == exact.INFINITY else (0,) * digest + (1,)
+    step = exact.promote if side is L else exact.demote
+    acc: list[int] = []
+    for j in range(1, m + 1):
+        weight = connected_count(kind, j) * math.comb(m - 1, j - 1)
+        child = raw_row(kind, side, m - j, step(window, j))
+        acc.extend([0] * (len(child) - len(acc)))
+        for k, coef in enumerate(child):
+            acc[k] += weight * coef
+    return tuple(acc)
+
+
+small_kinds = st.sampled_from([P, M])
+small_sizes = st.integers(min_value=0, max_value=9)
+# entries run past n, so windows with entries above n are drawn too
+largest_windows = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=4)
+smallest_windows = st.lists(st.integers(min_value=0, max_value=12) | st.just(exact.INFINITY),
+                            min_size=1, max_size=4)
+
+
+@given(small_kinds, small_sizes, largest_windows)
+@example(P, 9, [0, 0, 0])
+@example(M, 7, [3, 3, 11])
+@example(P, 5, [9, 12])
+@settings(max_examples=80, deadline=None)
+def test_largest_poly_matches_the_raw_recursion(kind, n, window) -> None:
+    got = exact.largest_poly(kind, n, window).coeffs
+    assert got == raw_row(kind, L, n, tuple(sorted(window)))
+
+
+@given(small_kinds, small_sizes, smallest_windows)
+@example(P, 9, [exact.INFINITY] * 3)
+@example(M, 8, [2, 2, exact.INFINITY, 11])
+@example(P, 6, [4, exact.INFINITY, 4])
+@example(M, 0, [5, 7])
+@settings(max_examples=80, deadline=None)
+def test_smallest_poly_matches_the_raw_recursion(kind, n, window) -> None:
+    got = exact.smallest_poly(kind, n, window).coeffs
+    assert got == raw_row(kind, S, n, tuple(sorted(window)))
 
 
 @given(st.integers(min_value=1, max_value=300))
