@@ -207,7 +207,8 @@ def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> R
     for entry in window:
         if entry == INFINITY and side is Side.LARGEST:
             raise ValueError("INFINITY entries only make sense on the smallest side")
-        if entry != INFINITY and (not isinstance(entry, int) or entry < 0):
+        integer = isinstance(entry, int) and not isinstance(entry, bool)
+        if entry != INFINITY and (not integer or entry < 0):
             raise ValueError(f"rank window entries must be integers >= 0, got {entry!r}")
     return RowPolynomial(_row_coeffs(kind, side, n, window), n, side)
 

@@ -3,9 +3,20 @@
 Walks every n-permutation (n <= 8) or every function table on {1..n}
 (n <= 7, so at most 7^7 = 823543 mappings), splits each into weakly
 connected components of its functional graph, and tallies exact rational
-PMFs of the r-th largest/smallest component size.  Slow and dumb on
-purpose: this module shares no code path with the recursion engines, so
-agreement with them is evidence, not tautology.
+PMFs of the r-th largest/smallest component size.
+
+The tables are enumerated in fixed-size blocks, each an (rows, n) array
+of 0-based images, so memory stays bounded by the block whatever n is.
+Each block is decomposed at once by pointer jumping: after k rounds of
+``label = min(label, label[g]); g = g[g]``, g is f applied 2^k times and
+label[i] is the least node among the first 2^k on i's path.  Once 2^k >= n,
+which ceil(log2 n) rounds reach, g sends every node past its tail (fewer
+than n nodes) onto its component's cycle (at most n nodes), so
+``label[g[i]]`` is the least node of that cycle and names i's component.
+Counting names per row gives the component sizes.
+
+This module shares no code path with the recursion engines, so agreement
+with them is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -16,11 +27,34 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
+import numpy as np
+
 from .exact import support_length
 from .kinds import ObjectKind, Side, total_count
 from .stats import ComponentPMF
 
 _MAX_N = {ObjectKind.PERMUTATION: 8, ObjectKind.MAPPING: 7}
+_BLOCK = 4096  # tables decomposed per numpy pass
+
+
+def _sizes(block: np.ndarray) -> Counter:
+    """Counter of ascending component-size tuples over the rows of block.
+
+    Each row is a table of 0-based images on {0..n-1}.
+    """
+    rows, n = block.shape
+    g = block
+    label = np.broadcast_to(np.arange(n), block.shape)
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, np.take_along_axis(label, g, axis=1))
+        g = np.take_along_axis(g, g, axis=1)
+    names = np.take_along_axis(label, g, axis=1) + n * np.arange(rows)[:, None]
+    sizes = np.bincount(names.ravel(), minlength=rows * n).reshape(rows, n)
+    sizes.sort(axis=1)
+    codes = sizes @ (n + 1) ** np.arange(n)  # sorted row as base-(n+1) digits
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return Counter({tuple(s for s in sizes[i].tolist() if s): int(c)
+                    for i, c in zip(first, counts)})
 
 
 def decompose(kind: ObjectKind, f: Sequence[int]) -> tuple[int, ...]:
@@ -30,34 +64,30 @@ def decompose(kind: ObjectKind, f: Sequence[int]) -> tuple[int, ...]:
     for them the components are exactly the cycles.
     """
     n = len(f)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in f):
+        raise ValueError("function table entries must be integers")
     if any(not 1 <= v <= n for v in f):
         raise ValueError("function table must map {1..n} into itself")
     if kind is ObjectKind.PERMUTATION and len(set(f)) != n:
         raise ValueError("permutation table must be a bijection")
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, v in enumerate(f):
-        a, b = find(i), find(v - 1)
-        if a != b:
-            parent[a] = b
-    sizes = Counter(find(i) for i in range(n))
-    return tuple(sorted(sizes.values()))
+    (sizes,) = _sizes(np.array([f], dtype=np.intp) - 1)
+    return sizes
 
 
 @cache
 def _spectrum(kind: ObjectKind, n: int) -> Counter:
     """Counter of ascending component-size tuples over all n-objects."""
     if kind is ObjectKind.PERMUTATION:
-        tables = itertools.permutations(range(1, n + 1))
+        tables = itertools.permutations(range(n))
     else:
-        tables = itertools.product(range(1, n + 1), repeat=n)
-    return Counter(decompose(kind, f) for f in tables)
+        tables = itertools.product(range(n), repeat=n)
+    tally = Counter()
+    while True:
+        block = itertools.chain.from_iterable(itertools.islice(tables, _BLOCK))
+        flat = np.fromiter(block, dtype=np.intp)
+        if not flat.size:
+            return tally
+        tally.update(_sizes(flat.reshape(-1, n)))
 
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:

@@ -226,6 +226,18 @@ def test_verify_small_exact_passes(capsys) -> None:
     assert all(chk["passed"] for chk in checks)
 
 
+def test_verify_all_suites_pass(capsys) -> None:
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    suites = {suite["suite"]: suite for suite in report["suites"]}
+    assert set(suites) == {"small-exact", "oracle", "mode-shift"}
+    for suite in suites.values():
+        assert suite["checks"]
+        assert all(chk["passed"] for chk in suite["checks"]), suite["suite"]
+
+
 def test_verify_text_output(capsys) -> None:
     code, out, _ = run(capsys, "verify", "--suite", "small-exact")
     assert code == 0

@@ -180,6 +180,10 @@ def test_windows_reject_bad_entries() -> None:
         largest_poly(P, 3, (-1, 0))
     with pytest.raises(ValueError):
         smallest_poly(P, 3, (1.5, INFINITY))
+    with pytest.raises(ValueError):
+        largest_poly(P, 3, (True, 0))
+    with pytest.raises(ValueError):
+        smallest_poly(P, 3, [True])
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from permap import exact
+from permap import exact, oracle
 from permap.kinds import ObjectKind, Side, connected_count
 from permap.oracle import connected_tally, decompose, enumerate_pmf
 
@@ -46,6 +51,104 @@ def test_decompose_rejects_out_of_range_images() -> None:
         decompose(M, [0, 1])
     with pytest.raises(ValueError):
         decompose(M, [3, 1])
+    with pytest.raises(ValueError):
+        decompose(P, [0, 1])
+    with pytest.raises(ValueError):
+        decompose(P, [2, 3])
+
+
+@pytest.mark.parametrize("kind", [P, M])
+def test_decompose_rejects_entries_that_are_not_integers(kind) -> None:
+    for table in ([1.5, 2], [1.0, 2.0], [2.0, 1], [True], [2, True], [False, 1]):
+        with pytest.raises(ValueError):
+            decompose(kind, table)
+
+
+def bfs_sizes(f: list[int]) -> tuple[int, ...]:
+    """Component sizes by breadth-first search over the undirected graph i -- f(i)."""
+    n = len(f)
+    adjacent = [[] for _ in range(n)]
+    for i, v in enumerate(f):
+        adjacent[i].append(v - 1)
+        adjacent[v - 1].append(i)
+    seen = [False] * n
+    sizes = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for node in queue:
+            for other in adjacent[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(other)
+        sizes.append(len(queue))
+    return tuple(sorted(sizes))
+
+
+@st.composite
+def rho_tables(draw) -> list[int]:
+    """A tail into a cycle: order[0] -> ... -> order[-1] -> order[j]."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    j = draw(st.integers(0, n - 1))
+    f = [0] * n
+    for a, b in zip(order, order[1:] + [order[j]]):
+        f[a - 1] = b
+    return f
+
+
+mapping_tables = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n))
+permutation_tables = st.integers(0, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(list))
+
+
+@given(st.one_of(st.tuples(st.just(M), mapping_tables | rho_tables()),
+                 st.tuples(st.just(P), permutation_tables)))
+def test_decompose_matches_breadth_first_search(case) -> None:
+    kind, f = case
+    assert decompose(kind, f) == bfs_sizes(f)
+
+
+def test_permutation_spectrum_is_cauchys_cycle_type_count() -> None:
+    # n! / prod_k k^{m_k} m_k! permutations have m_k cycles of length k
+    for n in range(1, 9):
+        spectrum = oracle._spectrum(P, n)
+        assert sum(spectrum.values()) == math.factorial(n)
+        for sizes, count in spectrum.items():
+            assert sum(sizes) == n
+            stabiliser = math.prod(k ** m * math.factorial(m)
+                                   for k, m in Counter(sizes).items())
+            assert count == math.factorial(n) // stabiliser, sizes
+
+
+def test_mapping_spectrum_totals_and_connected_counts() -> None:
+    # connected mappings on n labelled nodes, OEIS A001865
+    connected = (1, 3, 17, 142, 1569, 21576, 355081)
+    for n in range(1, 8):
+        spectrum = oracle._spectrum(M, n)
+        assert sum(spectrum.values()) == n ** n
+        assert spectrum[(n,)] == connected[n - 1]
+
+
+def test_enumeration_holds_one_block_of_tables_at_a_time() -> None:
+    # a blocked pass holds a few (rows, n) int arrays of one block (about
+    # 5.5 block_bytes at 4096 rows); an unblocked one holds them for all
+    # 46656 tables of M n=6
+    n = 6
+    assert n ** n > 4 * oracle._BLOCK
+    block_bytes = oracle._BLOCK * n * 8
+    oracle._spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle._spectrum(M, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        oracle._spectrum.cache_clear()
+    assert peak < 10 * block_bytes, peak
 
 
 def test_decompose_empty_object() -> None:
