@@ -9,9 +9,14 @@
 
 The first two run on exact big integers, so agreement is exact equality,
 not a tolerance.  Along the way the correction term of route 2 reveals a
-classical surprise: at k = 1 it collapses to an unsigned Stirling cycle
-number, Delta_r(1, n) = c(n, r).
+classical surprise.  Its defining recursion telescopes to
+Delta_r(k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), and since
+c(m+1, r) = m! e_{r-1}(1, ..., 1/m) that is an unsigned Stirling cycle
+number scaled by a falling factorial, Delta_r(k, n) = (n-1)!/(n-k)! c(n-k+1, r);
+at k = 1, Delta_r(1, n) = c(n, r).
 """
+
+import math
 
 from permap import (
     ObjectKind,
@@ -41,13 +46,12 @@ for n in (6, 9, 12):
             print(f"  n={n:2d} r={r} {side.value:9s} {tag}: {status}")
 print()
 
-print("the correction term at k=1 is an unsigned Stirling cycle number:")
-print(f"  {'n':>3s} {'Delta_2(1,n)':>14s} {'c(n,2)':>14s}   "
-      f"{'Delta_3(1,n)':>14s} {'c(n,3)':>14s}")
-for n in (5, 8, 12, 16):
-    d2, c2 = delta(2, 1, n), stirling_cycle(n, 2)
-    d3, c3 = delta(3, 1, n), stirling_cycle(n, 3)
-    assert d2 == c2 and d3 == c3
-    print(f"  {n:3d} {d2:14d} {c2:14d}   {d3:14d} {c3:14d}")
+print("the correction term is a scaled Stirling cycle number at every k:")
+print(f"  {'r':>2s} {'k':>3s} {'n':>3s} {'Delta_r(k,n)':>20s} {'(n-1)!/(n-k)! c(n-k+1,r)':>26s}")
+for r, k, n in ((2, 1, 8), (2, 3, 8), (3, 1, 12), (3, 5, 12), (4, 1, 16), (4, 7, 16)):
+    d = delta(r, k, n)
+    form = math.factorial(n - 1) // math.factorial(n - k) * stirling_cycle(n - k + 1, r)
+    assert d == form
+    print(f"  {r:2d} {k:3d} {n:3d} {d:20d} {form:26d}")
 print()
-print("(both columns computed by different recursions; equality is exact.)")
+print("(delta from harmonic sums, c from its own recurrence; equality is exact.)")

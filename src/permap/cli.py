@@ -213,6 +213,8 @@ def _suite_small_exact() -> list[tuple[str, bool, str]]:
     check("v_2(k,4)", tuple(vt.counts[k][4] for k in range(1, 4)), (18, 11, 8))
     check("v_2(1,3)", vt.counts[1][3], 4)
     check("delta_2(k,4)", tuple(ktp.delta(2, k, 4) for k in (1, 2, 3)), (11, 9, 6))
+    check("delta_3(k,5)", tuple(ktp.delta(3, k, 5) for k in range(1, 5)), (35, 24, 12, 0))
+    check("delta_4(k,6)", tuple(ktp.delta(4, k, 6) for k in range(1, 5)), (85, 50, 20, 0))
     mean = summarize(exact.pmf(P, 4, 2, Side.LARGEST)).mean
     check("mean second-longest cycle, n=4", mean, Fraction(7, 8))
     return checks

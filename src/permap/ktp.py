@@ -11,9 +11,10 @@ Knuth/Trabb Pardo-style tables, permutations only.  Two families:
 
 u_r obeys a proven recursion.  v_r (r >= 2) obeys a recursion with an
 additive correction term, conjectural beyond the ranges on which it has
-been verified; every table derived from it is flagged as such.  The
-correction at k = 1 coincides with the unsigned Stirling cycle numbers,
-which is checked, not explained, by the test suite.
+been verified; every table derived from it is flagged as such.  Both
+routes evaluate the correction in closed form, (n-1)! e_{r-1}(1, 1/2, ...,
+1/(n-k)), which explains why it is the Stirling cycle number c(n, r) at
+k = 1 (see delta; the tests check that against c's own recurrence).
 
 Adjacent differences of a table column give the exact PMF of the r-th
 ranked cycle size, which must (and does, in tests) match the rank-window
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,13 +75,7 @@ def harmonic(m: int, power: int = 1) -> Fraction:
     return seq[m]
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """Unsigned Stirling cycle numbers c(n, 0..5)."""
-    if n == 0:
-        return (1, 0, 0, 0, 0, 0)
-    prev = _stirling_row(n - 1)
-    return tuple((prev[k - 1] if k else 0) + (n - 1) * prev[k] for k in range(6))
+_STIRLING: list[tuple[int, ...]] = [(1, 0, 0, 0, 0, 0)]  # row n holds c(n, 0..5)
 
 
 def stirling_cycle(n: int, k: int) -> int:
@@ -90,46 +84,51 @@ def stirling_cycle(n: int, k: int) -> int:
         raise ValueError("stirling_cycle requires n, k >= 0")
     if k > 5:
         raise ValueError("only k <= 5 is tabulated")
-    return _stirling_row(n)[k]
+    rows = _STIRLING
+    while len(rows) <= n:  # c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
+        m, prev = len(rows), rows[-1]
+        rows.append(tuple((prev[j - 1] if j else 0) + (m - 1) * prev[j] for j in range(6)))
+    return rows[n][k]
 
 
-def _delta2_int(k: int, n: int) -> int:
-    if k > n:
-        return 0
-    fact = math.factorial(n - 1)
-    return sum(fact // i for i in range(1, n - k + 1))
+def _elementary(p1, p2, p3):
+    """e_1, e_2, e_3 from the power sums p_1, p_2, p_3 by Newton's identities.
+
+    Works on Fractions and on float arrays alike.
+    """
+    return p1, (p1**2 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
 
 
-@lru_cache(maxsize=None)
-def _delta_frac(r: int, k: int, n: int) -> Fraction:
-    if r == 2:
-        return Fraction(_delta2_int(k, n))
-    if k == 1:
-        h1 = harmonic(n - 1)
-        if r == 3:
-            val = (h1**2 - harmonic(n - 1, 2)) / 2
-        else:
-            val = (h1**3 - 3 * h1 * harmonic(n - 1, 2) + 2 * harmonic(n - 1, 3)) / 6
-        return math.factorial(n - 1) * val
-    if n >= k:
-        return _delta_frac(r, k - 1, n) - _delta_frac(r - 1, k, n) / (n - k + 1)
-    return Fraction(0)
+_ELEMENTARY: dict[tuple[int, int], Fraction] = {}  # (q, m) -> e_q(1, 1/2, ..., 1/m)
 
 
 def delta(r: int, k: int, n: int) -> int:
     """Correction term of the shortest-side recursion; always an integer.
 
-    delta(r, 1, n) equals stirling_cycle(n, r).  Integrality of the general
-    case is checked on every call rather than assumed.
+    delta(r, k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)) for k <= n, e_q
+    the elementary symmetric polynomial, and 0 for k > n.  The defining
+    recursion delta_r(k) = delta_r(k-1) - delta_{r-1}(k)/(n-k+1), from the
+    head delta_r(1, n), telescopes to it, because adding 1/m to the set
+    gives e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m.  Since c(m+1, r) =
+    m! e_{r-1}(1, ..., 1/m), this is (n-1)!/(n-k)! c(n-k+1, r); at k = 1,
+    the Stirling cycle number c(n, r).  Integrality is checked on every
+    call rather than assumed.
     """
     if r < 2 or r > _MAX_RANK:
         raise ValueError(f"correction term defined for ranks 2..{_MAX_RANK}")
     if k < 1 or n < 1:
         raise ValueError("delta requires k >= 1 and n >= 1")
-    val = _delta_frac(r, k, n)
-    if val.denominator != 1:
-        raise ArithmeticError(f"correction term not integral at (r={r}, k={k}, n={n}): {val}")
-    return val.numerator
+    if k > n:
+        return 0
+    m = n - k
+    if (r - 1, m) not in _ELEMENTARY:
+        for q, e in enumerate(_elementary(*(harmonic(m, power) for power in (1, 2, 3))), 1):
+            _ELEMENTARY[q, m] = e
+    e = _ELEMENTARY[r - 1, m]
+    val, rem = divmod(math.factorial(n - 1) * e.numerator, e.denominator)
+    if rem:
+        raise ArithmeticError(f"correction term not integral at (r={r}, k={k}, n={n})")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +219,8 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
     if n < 1 or r < 1:
         raise ValueError("pmf_from_tables requires n >= 1 and r >= 1")
+    if side is Side.SMALLEST and r > _MAX_RANK:
+        raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     fact = math.factorial(n)
     length = support_length(n, r, side)
     if side is Side.LARGEST:
@@ -246,29 +247,6 @@ def _harmonic_float(n_max: int, power: int) -> np.ndarray:
     return out
 
 
-def _delta_row(q: int, n: int, t: int, h: tuple, lower: np.ndarray | None,
-               ks: np.ndarray) -> np.ndarray:
-    """Row n of D_q, D_q[k, n] = delta(q, k, n)/n!, for k = 1..t (entry 0 unused).
-
-    h holds the harmonic sums of powers 1..3, lower is row n of D_{q-1}
-    (None at q = 2) reaching at least to k = t, and ks = 0, 1, 2, ...
-    """
-    h1, h2, h3 = h
-    out = np.empty(t + 1)
-    kk = ks[1 : t + 1]
-    if q == 2:
-        out[1:] = h1[n - kk] / n
-        return out
-    if q == 3:
-        head = (h1[n - 1] ** 2 - h2[n - 1]) / (2 * n)
-    else:
-        head = (h1[n - 1] ** 3 - 3 * h1[n - 1] * h2[n - 1] + 2 * h3[n - 1]) / (6 * n)
-    out[1] = head
-    if t >= 2:
-        out[2:] = head - (lower[2 : t + 1] / (n - kk[1:] + 1)).cumsum()
-    return out
-
-
 def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     """The conjectural shortest-side recursion on counts normalised by n!.
 
@@ -276,16 +254,17 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     writes contiguous rows; callers keep it in exact's store.  Rank q
     keeps only its prefix sums cum[i, k] = sum of its values at sizes < i,
     and the step reads cum[n-k+1, k] through one flat index; the rank-r
-    values are the only full table.  Row n of the correction D_q is recomputed from
-    D_{q-1}'s row n at each step, so no D table is held.
+    values are the only full table.  The correction D_q[k, n] =
+    delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n
+    (see delta), so e_1..e_3 are built once from the harmonic sums and row
+    n of D_q is a reversed slice of one of them; no D table is held.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
     """
     width = k_max + 1
-    ks = np.arange(width)
-    step = ks * (width - 1)  # flat index of cum[n-k+1, k] is (n+1)*width - step[k]
-    h = tuple(_harmonic_float(n_max, power) for power in (1, 2, 3))
+    step = np.arange(width) * (width - 1)  # flat index of cum[n-k+1, k] is (n+1)*width - step[k]
+    e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
     cum_prev = prev_flat = None
     for q in range(1, r + 1):
         cum = np.zeros((n_max + 2, width))
@@ -308,11 +287,8 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
                 if q == 1:
                     out[1 : t + 1] = own / n
                 else:
-                    d = None
-                    for p in range(2, q + 1):
-                        d = _delta_row(p, n, min(n - p + 1, k_max), h, d, ks)
-                    out[1 : t + 1] = d[1 : t + 1] + (cum_prev[n, 1 : t + 1]
-                                                     - prev_flat[idx] + own) / n
+                    d = e[q - 2][n - t : n][::-1] / n  # D_q[k, n] for k = 1..t
+                    out[1 : t + 1] = d + (cum_prev[n, 1 : t + 1] - prev_flat[idx] + own) / n
             np.add(cum[n], out, out=cum[n + 1])
         cum_prev, prev_flat = cum, flat
     return z

@@ -259,6 +259,8 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         ("table", "--kind", "permute", "--rank", "2", "--n", "9", "--engine", "oracle"),
         ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp",
          "--side", "smallest"),
+        ("table", "--kind", "permute", "--rank", "5", "--n", "4", "--engine", "ktp",
+         "--side", "smallest"),
         ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp-float",
          "--side", "smallest"),
         ("table", "--kind", "permute", "--n", "5", "--output", unwritable),

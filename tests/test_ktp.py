@@ -131,6 +131,46 @@ def test_delta_matches_stirling_at_k_one() -> None:
             assert delta(r, 1, n) == stirling_cycle(n, r)
 
 
+def test_delta_is_the_stirling_form_at_every_k() -> None:
+    # delta(r, k, n) = (n-1)!/(n-k)! c(n-k+1, r), and 0 past k = n
+    for r in (2, 3, 4):
+        for n in range(1, 81):
+            for k in range(1, n + 1):
+                want = math.factorial(n - 1) // math.factorial(n - k) * stirling_cycle(n - k + 1, r)
+                assert delta(r, k, n) == want, (r, k, n)
+            assert delta(r, n + 1, n) == 0
+
+
+def test_delta_obeys_its_defining_recursion() -> None:
+    # delta_r(k) = delta_r(k-1) - delta_{r-1}(k)/(n-k+1), the division exact
+    for r in (3, 4):
+        for n in range(2, 61):
+            for k in range(2, n + 1):
+                step, rem = divmod(delta(r - 1, k, n), n - k + 1)
+                assert rem == 0, (r, k, n)
+                assert delta(r, k, n) == delta(r, k - 1, n) - step, (r, k, n)
+
+
+def test_float_correction_rows_match_delta() -> None:
+    # row n of D_q in _v_norm reads e_{q-1}[n-k]/n, which must be delta(q, k, n)/n!
+    n_max = 200
+    e = ktp._elementary(*(ktp._harmonic_float(n_max, power) for power in (1, 2, 3)))
+    for q in (2, 3, 4):
+        for n in range(q, n_max + 1):
+            for k in range(1, n - q + 2):  # the cells the recursion reads
+                want = delta(q, k, n) / math.factorial(n)
+                assert abs(e[q - 2][n - k] / n - want) <= 1e-13 * want, (q, k, n)
+
+
+def test_stirling_and_delta_do_not_recurse_deeply(monkeypatch) -> None:
+    # one Python frame per size would pass the default recursion limit of 1000 here
+    monkeypatch.setattr(ktp, "_STIRLING", [(1, 0, 0, 0, 0, 0)])
+    monkeypatch.setattr(ktp, "_ELEMENTARY", {})
+    assert stirling_cycle(1500, 2) == math.factorial(1499) * harmonic(1499)
+    want = math.factorial(699) // math.factorial(100) * stirling_cycle(101, 3)
+    assert delta(3, 600, 700) == want
+
+
 def test_delta_rejects_unsupported_ranks() -> None:
     with pytest.raises(ValueError):
         delta(1, 1, 5)
@@ -247,8 +287,8 @@ def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
     # the published permutation tables run from n = 1000; the smallest side
     # there comes from the conjectural recursion, checked here against the
     # proven threshold chain (the largest sides share one kernel).  Largest
-    # first: the n = 1000 columns are read from the n = 1500 tables.
-    for n in (1500, 1000):
+    # first: the smaller columns are read from the n = 2500 tables.
+    for n in (2500, 2000, 1500, 1000):
         for r in (2, 3, 4):
             proven = exact.pmf_float(P, n, r, S).probs
             conjectural = pmf_from_tables_float(r, n, S).probs
@@ -256,25 +296,14 @@ def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
             assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12, (n, r)
 
 
-def _column_major_delta_norm(r, k_max, n_max, lower):
-    # the float correction table D[k, n] as the column-major builder made it
+def _column_major_delta_norm(r, k_max, n_max):
+    # the float correction table D[k, n] = delta(r, k, n)/n! = e_{r-1}[n-k]/n, in full
     h1, h2, h3 = (ktp._harmonic_float(n_max, power) for power in (1, 2, 3))
+    e = (h1, (h1**2 - h2) / 2, (h1**3 - 3 * h1 * h2 + 2 * h3) / 6)[r - 2]
     D = np.zeros((k_max + 1, n_max + 1))
-    ks = np.arange(k_max + 1)
     for n in range(1, n_max + 1):
-        t = min(n, k_max)
-        kk = ks[1 : t + 1]
-        if r == 2:
-            D[kk, n] = h1[n - kk] / n
-        else:
-            if r == 3:
-                head = (h1[n - 1] ** 2 - h2[n - 1]) / (2 * n)
-            else:
-                head = (h1[n - 1] ** 3 - 3 * h1[n - 1] * h2[n - 1] + 2 * h3[n - 1]) / (6 * n)
-            D[1, n] = head
-            if t >= 2:
-                steps = lower[2 : t + 1, n] / (n - ks[2 : t + 1] + 1)
-                D[2 : t + 1, n] = head - np.cumsum(steps)
+        kk = np.arange(1, min(n, k_max) + 1)
+        D[kk, n] = e[n - kk] / n
     return D
 
 
@@ -283,7 +312,7 @@ def _column_major_v_norm(r, k_max, n_max):
     ks = np.arange(k_max + 1)
     cum_prev = D = Z = None
     for q in range(1, r + 1):
-        D = _column_major_delta_norm(q, k_max, n_max, D) if q >= 2 else None
+        D = _column_major_delta_norm(q, k_max, n_max) if q >= 2 else None
         Z = np.zeros((k_max + 1, n_max + 1))
         cum = np.zeros((k_max + 1, n_max + 2))
         Z[:, 0] = 1.0 if q == 1 else 0.0
