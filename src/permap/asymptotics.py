@@ -36,6 +36,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
 
+from .exact import PrecisionError
 from .kinds import Side
 
 _EULER_GAMMA = float(np.euler_gamma)
@@ -188,7 +189,7 @@ def _quad_pair(f) -> tuple[float, float]:
     value = head[0] + tail[0]
     err = head[1] + tail[1]
     if err > _QUAD_TOL:
-        raise ArithmeticError(f"quadrature achieved only {err:.2e} absolute error")
+        raise PrecisionError(f"quadrature achieved only {err:.2e} absolute error")
     return value, err
 
 

@@ -9,7 +9,8 @@ Three subcommands:
 
 Output formats: text (display rounding: means/variances to 6 decimals,
 scaled medians/modes to 4), csv (full precision, fixed ASCII header
-names), json (full precision, keyed identically to the csv header).  A
+names), json (full precision, keyed identically to the csv header; the
+smallest side's nan mean and variance at n = 1 are written null).  A
 table whose printed columns come from the conjectural shortest-side
 recursion (ktp engines, rank >= 2) says so: json carries a top-level
 "conjectural" key, text and csv print a one-line note on stderr.
@@ -18,9 +19,9 @@ Exit codes: 0 success; 1 verification failure; 2 configuration error:
 an argument the parser rejects (such as a negative --digits), a request
 the library rejects (a ValueError, such as a rank the engine does not
 cover), an --output path that cannot be written (checked up front), or
-a request too large for the memory at hand (MemoryError); 3 a float
-engine's precision guard failed (PrecisionError: a mass-sum or
-negative-mass check).
+a request too large for the memory at hand (MemoryError); 3 a precision
+guard failed (PrecisionError: a float engine's mass-sum or negative-mass
+check, or a quadrature error above its tolerance).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -132,6 +134,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _render_table(cols: list[str], rows: list[dict], conjectural: bool, args) -> str:
     if args.format == "json":
+        rows = [{c: None if math.isnan(v) else v for c, v in row.items()} for row in rows]
         return json.dumps({"kind": args.kind, "rank": args.rank,
                            "engine": args.engine, "conjectural": conjectural,
                            "columns": ["n"] + cols, "rows": rows}, indent=2) + "\n"
@@ -316,7 +319,8 @@ def _parser() -> argparse.ArgumentParser:
                        default="both")
     table.add_argument("--n", type=_int_list, required=True,
                        metavar="N1,N2,...", help="comma-separated sizes")
-    table.add_argument("--engine", choices=_ENGINES, default="exact-float")
+    table.add_argument("--engine", choices=_ENGINES, default="exact-float", help=(
+        "production engines: exact-float, ktp-float; verification routes: exact, ktp, oracle"))
     table.add_argument("--format", choices=["text", "csv", "json"], default="text")
     table.add_argument("--digits", type=_digits, default=6)
     table.add_argument("--output", metavar="PATH")

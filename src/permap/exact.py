@@ -82,7 +82,7 @@ RankEntry = int | float  # int size or the INFINITY placeholder
 
 
 class PrecisionError(ArithmeticError):
-    """A float run drifted past the acceptable mass-sum tolerance."""
+    """A float result failed its guard: mass sum, negative mass or quadrature error."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,6 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
         _MEMO[kind, side] = width, rows
     totals = [total_count(kind, m) for m in range(n + 1)]
     r = len(window)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 200))
 
     # largest/smallest(m, ranks) run one step from a canonical window that
     # is not final; each child is made canonical inline and looked up
@@ -195,7 +194,14 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
             window = window[:-1] + (INFINITY,)
         rec = smallest
     row = rows.get((n, window))
-    return _unpack(rec(n, window) if row is None else row, width, totals[n])
+    if row is None:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * n + 200))
+        try:
+            row = rec(n, window)
+        finally:
+            sys.setrecursionlimit(limit)
+    return _unpack(row, width, totals[n])
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:

@@ -16,16 +16,18 @@ routes evaluate the correction in closed form, (n-1)! e_{r-1}(1, 1/2, ...,
 1/(n-k)), which explains why it is the Stirling cycle number c(n, r) at
 k = 1 (see delta; the tests check that against c's own recurrence).
 
-Adjacent differences of a table column give the exact PMF of the r-th
-ranked cycle size, which must (and does, in tests) match the rank-window
-engine.  The float tables hold counts normalised by n!, where the
-falling-factorial weights collapse to 1/n and prefix sums make every cell
-O(1); n = 2500 tables build in seconds.  The longest-side float table is
-the threshold-chain kernel of exact (its uniform-split path); the
-shortest-side float recursion is built here, apart from that kernel, so
-that the proven chain can validate it.  It runs one rank at a time over
-row-major [n, k] prefix sums, one contiguous row per size n, keeps a
-full value table for the requested rank only, and returns it as [n, k].
+The exact tables, a verification route, are built by the three-term
+recurrences that their defining sums telescope to (see _u_rows); adjacent
+differences of a column give the exact PMF of the r-th ranked cycle size,
+which must (and does, in tests) match the rank-window engine.  The float
+tables hold counts normalised by n!, where the falling-factorial weights
+collapse to 1/n and prefix sums make every cell O(1); n = 2500 tables
+build in seconds.  The longest-side float table is the threshold-chain
+kernel of exact (its uniform-split path); the shortest-side float
+recursion is built here, apart from that kernel, so that the proven chain
+can validate it.  It runs one rank at a time over row-major [n, k] prefix
+sums, one contiguous row per size n, keeps a full value table for the
+requested rank only, and returns it as [n, k].
 
 Every table here, exact or float, lives in exact's one store and grows
 by its one rule; exact's row reader turns a float table's row n into a
@@ -134,70 +136,57 @@ def delta(r: int, k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # exact tables
 
-def _falling(n: int, m: int) -> list[int]:
-    """[ (n-1)!/(n-1-i)! for i = 0..m ] -- weights of the m-loop."""
-    out = [1]
-    for i in range(1, m + 1):
-        out.append(out[-1] * (n - i))
-    return out
-
-
 def _u_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
+    """u_r by columns k; u_0 = 0, F(n, m) = (n-1)!/(n-1-m)! (0 for m >= n).
+
+    As (n-1) F(n-1, m-1) = F(n, m), (n-1) u_r(k, n-1) is the defining sum
+    u_r(k, n) = sum_{m<k} F(n, m) u_r(k, n-1-m) + sum_{k<=m<n} F(n, m)
+    u_{r-1}(k, n-1-m) with each m raised by one; the difference telescopes to
+    u_r(k, n) = n u_r(k, n-1) - F(n, k) [u_r(k, n-1-k) - u_{r-1}(k, n-1-k)].
+    """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    prev = _exact_rows(Side.LARGEST, r - 1, k_max, n_max) if r > 1 else None
-    rows = [[1] + [0] * n_max for _ in range(k_max + 1)]
-    for n in range(1, n_max + 1):
-        ff = _falling(n, n - 1)
-        cut = n if r == 1 else n // r
-        for k in range(k_max + 1):
-            row = rows[k]
-            if k >= cut:
-                row[n] = fact[n]
-                continue
-            acc = 0
-            for m in range(k):
-                acc += ff[m] * row[n - 1 - m]
-            if r > 1:
-                pk = prev[k]
-                for m in range(k, n):
-                    acc += ff[m] * pk[n - 1 - m]
-            row[n] = acc
+    prev = exact._stored(_u_rows, (r - 1,), (k_max, n_max)) if r > 1 else None
+    rows = []
+    for k in range(k_max + 1):
+        low = prev[k] if prev else [0] * (n_max + 1)
+        row = [1] + [0] * n_max
+        for n in range(1, n_max + 1):
+            row[n] = n * row[n - 1]
+            if n > k:
+                row[n] -= fact[n - 1] // fact[n - 1 - k] * (row[n - 1 - k] - low[n - 1 - k])
+        rows.append(row)
     return rows
 
 
 def _v_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
+    """v_r by columns k; v_0 = delta_1 = 0, F as in _u_rows.
+
+    The defining sum v_r(k, n) = delta_r(k, n) + sum_{m<k-1} F(n, m)
+    v_{r-1}(k, n-1-m) + sum_{k-1<=m<n} F(n, m) v_r(k, n-1-m) gives the cells
+    n >= k + r - 1 (others hold 0, n! at k = 0, 1 at r = 1, n = 0).  Less
+    delta_r it is s, which telescopes as in _u_rows; s starts at n = k + r - 1
+    from 0 because at n = k + r - 2 every term of the sum vanishes: delta_r
+    is (n-1)! e_{r-1} of r - 2 reciprocals, and each table read is a zero cell.
+    """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    prev = _exact_rows(Side.SMALLEST, r - 1, k_max, n_max) if r > 1 else None
-    rows = [[0] * (n_max + 1) for _ in range(k_max + 1)]
-    rows[0] = fact[:]
+    prev = exact._stored(_v_rows, (r - 1,), (k_max, n_max)) if r > 1 else None
+    rows = [fact]
     for k in range(1, k_max + 1):
-        rows[k][0] = 1 if r == 1 else 0
-    for n in range(1, n_max + 1):
-        ff = _falling(n, n - 1)
-        hi = n if r == 1 else n - r + 1
-        for k in range(1, min(hi, k_max) + 1):
-            row = rows[k]
-            acc = 0 if r == 1 else delta(r, k, n)
-            if r > 1:
-                pk = prev[k]
-                for m in range(k - 1):
-                    acc += ff[m] * pk[n - 1 - m]
-            for m in range(k - 1, n):
-                acc += ff[m] * row[n - 1 - m]
-            row[n] = acc
+        low = prev[k] if prev else [0] * (n_max + 1)
+        row = [1 if r == 1 else 0] + [0] * n_max
+        s = 0
+        for n in range(k + r - 1, n_max + 1):
+            s = (n - 1) * s + low[n - 1] + fact[n - 1] // fact[n - k] * (row[n - k] - low[n - k])
+            row[n] = s + (delta(r, k, n) if r > 1 else 0)
+        rows.append(row)
     return rows
-
-
-def _exact_rows(side: Side, r: int, k_max: int, n_max: int) -> list[list[int]]:
-    build = _u_rows if side is Side.LARGEST else _v_rows
-    return exact._stored(build, (r,), (k_max, n_max))
 
 
 def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """Exact counts of n-permutations whose r-th longest cycle is <= k."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    rows = _exact_rows(Side.LARGEST, r, k_max, n_max)
+    rows = exact._stored(_u_rows, (r,), (k_max, n_max))
     counts = tuple(tuple(rows[k][: n_max + 1]) for k in range(k_max + 1))
     return CycleCountTable(r, Side.LARGEST, k_max, n_max, counts, conjectural=False)
 
@@ -210,7 +199,7 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """
     if r < 1 or r > _MAX_RANK:
         raise ValueError(f"rank must be in 1..{_MAX_RANK}")
-    rows = _exact_rows(Side.SMALLEST, r, k_max, n_max)
+    rows = exact._stored(_v_rows, (r,), (k_max, n_max))
     counts = tuple(tuple(rows[k][: n_max + 1]) for k in range(k_max + 1))
     return CycleCountTable(r, Side.SMALLEST, k_max, n_max, counts, conjectural=r > 1)
 
@@ -224,17 +213,16 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     fact = math.factorial(n)
     length = support_length(n, r, side)
     if side is Side.LARGEST:
-        rows = _exact_rows(side, r, n // r, n)
+        rows = exact._stored(_u_rows, (r,), (n // r, n))
         cdf = [rows[k][n] for k in range(length)]
         probs = [Fraction(cdf[0], fact)]
         probs += [Fraction(cdf[k] - cdf[k - 1], fact) for k in range(1, length)]
-        conj = False
     else:
-        rows = _exact_rows(side, r, max(n - r + 2, 1), n)
+        rows = exact._stored(_v_rows, (r,), (max(n - r + 2, 1), n))
         tail = [rows[k][n] for k in range(length + 1)] if length > 1 else [fact, 0]
         probs = [Fraction(fact - tail[1], fact)]
         probs += [Fraction(tail[k] - tail[k + 1], fact) for k in range(1, length)]
-        conj = r > 1
+    conj = side is Side.SMALLEST and r > 1
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(probs), conjectural=conj)
 
 

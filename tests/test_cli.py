@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from permap import exact, ktp
+from permap import asymptotics, exact, ktp
 from permap.cli import main
 
 
@@ -34,6 +34,18 @@ def test_table_json_small_oracle(capsys) -> None:
     # the normalized value mean/n
     assert row["L_mu_norm"] == pytest.approx(0.875 / 4, abs=1e-15)
     assert row["L_theta_norm"] == pytest.approx(0.25, abs=1e-15)
+
+
+def test_table_json_writes_null_for_an_undefined_statistic(capsys) -> None:
+    # the smallest side has no scale at n = 1; RFC 8259 has no NaN
+    def reject(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    code, out, _ = run(capsys, "table", "--kind", "permute", "--n", "1", "--format", "json")
+    assert code == 0
+    row = json.loads(out, parse_constant=reject)["rows"][0]
+    assert row["S_mu_norm"] is None and row["S_sigma2_norm"] is None
+    assert row["L_mu_norm"] == 0.0
 
 
 def test_table_csv_round_trip(capsys) -> None:
@@ -320,6 +332,18 @@ def test_precision_error_has_its_own_exit_code(capsys, monkeypatch) -> None:
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "mass-sum" in err
+
+
+def test_quadrature_guard_exits_3_without_a_traceback(capsys, monkeypatch) -> None:
+    def inaccurate(*args, **kwargs):
+        return 1.0, 1e-3, {}
+
+    monkeypatch.setattr(asymptotics, "quad", inaccurate)
+    monkeypatch.setattr(asymptotics, "_MOMENTS", {})
+    code, out, err = run(capsys, "constants")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "quadrature" in err
 
 
 def test_unknown_engine_is_rejected_by_parser(capsys) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -281,6 +283,22 @@ def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
 
 def test_precision_error_is_arithmetic_error() -> None:
     assert issubclass(PrecisionError, ArithmeticError)
+
+
+def test_window_recursion_restores_the_recursion_limit(monkeypatch) -> None:
+    # the limit is raised for the recursive call only, and put back after it
+    monkeypatch.setattr(exact, "_MEMO", {})
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        # a final window returns without recursing: the limit must not move
+        assert largest_poly(P, 300, (300,)).coeffs[-1] == math.factorial(300)
+        assert sys.getrecursionlimit() == 500
+        # 4n + 200 = 560 frames are allowed for this call, then 500 again
+        assert sum(smallest_poly(P, 90, (INFINITY,)).coeffs) == math.factorial(90)
+        assert sys.getrecursionlimit() == 500
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_memo_stats_reports_sizes(monkeypatch) -> None:

@@ -111,6 +111,74 @@ def test_v_boundaries_and_monotonicity() -> None:
                 prev = value
 
 
+def _falling(n, m):
+    # [(n-1)!/(n-1-i)! for i = 0..m], the weights of the defining sums
+    out = [1]
+    for i in range(1, m + 1):
+        out.append(out[-1] * (n - i))
+    return out
+
+
+def _sum_form_u(r, k_max, n_max):
+    # u_r by its defining sum, O(n) products per cell
+    fact = [math.factorial(i) for i in range(n_max + 1)]
+    prev = _sum_form_u(r - 1, k_max, n_max) if r > 1 else None
+    rows = [[1] + [0] * n_max for _ in range(k_max + 1)]
+    for n in range(1, n_max + 1):
+        ff = _falling(n, n - 1)
+        cut = n if r == 1 else n // r
+        for k in range(k_max + 1):
+            row = rows[k]
+            if k >= cut:
+                row[n] = fact[n]
+                continue
+            acc = 0
+            for m in range(k):
+                acc += ff[m] * row[n - 1 - m]
+            if r > 1:
+                pk = prev[k]
+                for m in range(k, n):
+                    acc += ff[m] * pk[n - 1 - m]
+            row[n] = acc
+    return rows
+
+
+def _sum_form_v(r, k_max, n_max):
+    # v_r by its defining sum plus the correction term, O(n) products per cell
+    fact = [math.factorial(i) for i in range(n_max + 1)]
+    prev = _sum_form_v(r - 1, k_max, n_max) if r > 1 else None
+    rows = [[0] * (n_max + 1) for _ in range(k_max + 1)]
+    rows[0] = fact[:]
+    for k in range(1, k_max + 1):
+        rows[k][0] = 1 if r == 1 else 0
+    for n in range(1, n_max + 1):
+        ff = _falling(n, n - 1)
+        hi = n if r == 1 else n - r + 1
+        for k in range(1, min(hi, k_max) + 1):
+            row = rows[k]
+            acc = 0 if r == 1 else delta(r, k, n)
+            if r > 1:
+                pk = prev[k]
+                for m in range(k - 1):
+                    acc += ff[m] * pk[n - 1 - m]
+            for m in range(k - 1, n):
+                acc += ff[m] * row[n - 1 - m]
+            row[n] = acc
+    return rows
+
+
+@pytest.mark.parametrize("k_max, n_max", [(0, 0), (1, 0), (0, 5), (4, 4), (13, 12), (2, 8),
+                                          (20, 40), (60, 60), (75, 70)])
+def test_exact_tables_are_the_sum_form(monkeypatch, k_max, n_max) -> None:
+    # the three-term recurrences must give the defining sums integer for
+    # integer, past k_max > n_max and at the first nonzero v cell n = k + r - 1
+    monkeypatch.setattr(exact, "_TABLES", {})
+    for table, reference in ((longest_table, _sum_form_u), (shortest_table, _sum_form_v)):
+        for r in (1, 2, 3, 4):
+            got = [list(column) for column in table(r, k_max, n_max).counts]
+            assert got == reference(r, k_max, n_max), (table.__name__, r)
+
+
 def test_delta_fixtures() -> None:
     assert delta(2, 1, 4) == 11
     assert delta(2, 2, 4) == 9
