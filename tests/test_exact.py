@@ -281,6 +281,60 @@ def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
                 assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
 
 
+def test_permutation_chain_rows_do_not_depend_on_the_table_width() -> None:
+    # the prefix-sum diagonal steps by width - 1 flat cells, so a stride
+    # off by one would make row n depend on the table width
+    for side in (L, S):
+        for r in (1, 2, 3, 4):
+            grown = _build_chain(P, side, r, 160)
+            for n in range(1, 161):
+                alone = _build_chain(P, side, r, n)
+                assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
+
+
+def _gather_chain(side, r, n_max):
+    # the permutation chain with every prefix-sum read as a fancy gather
+    # through an index array: the reference for the strided-view reads
+    largest = side is L
+    k_max = n_max // r if largest else max(n_max - r + 2, 1)
+    ks = np.arange(k_max + 1)
+    cut = ks if largest else np.maximum(ks - 1, 0)
+    width, rows = k_max + 1, n_max + 1
+    out = np.empty((rows, width))
+    out[0] = 1.0
+    col = np.empty(width)
+    level = np.zeros((rows + 1, width))
+    for c in range(r):
+        prev, level = level, np.zeros((rows + 1, width))
+        low, high = (level, prev) if largest else (prev, level)
+        level[1] = 1.0
+        low_flat, high_flat = low.reshape(-1), high.reshape(-1)
+        for m in range(1, rows):
+            idx = (m - np.minimum(cut, m)) * width + ks
+            np.subtract(low[m], low_flat[idx], out=col)
+            col += high_flat[idx]
+            col /= m
+            np.add(level[m], col, out=level[m + 1])
+            if c == r - 1:
+                out[m] = col
+    if not largest:
+        sizes = np.arange(rows)
+        out -= out[sizes, np.maximum(sizes - r + 2, 1)][:, None]
+    return out
+
+
+def test_permutation_chain_is_the_gathered_chain_bit_for_bit() -> None:
+    # widths 1 and 2, thresholds past m and the smallest side's k = 0
+    # column: the strided reads must round every cell as the gathers did
+    for side in (L, S):
+        for r in (1, 2, 3, 4):
+            for n_max in (1, 2, 3, 5, 37, 200):
+                got = _build_chain(P, side, r, n_max)
+                want = _gather_chain(side, r, n_max)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (side, r, n_max)
+
+
 def test_precision_error_is_arithmetic_error() -> None:
     assert issubclass(PrecisionError, ArithmeticError)
 
