@@ -290,27 +290,32 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
     components put the r-th smallest below m-r+2), leaves
     P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
 
-    A new component of size j <= cut[k] leads to the same level on the
-    largest side and to level c-1 on the smallest; a larger one the other
-    way round.  On levels scaled by tau, one (level, m) step sums q_j
-    times the level after size j over the rows j of a reused block, in the
-    same order at every table width, and divides by m; for permutations
-    (q = tau = 1) it is a pair of gathers from prefix sums along m.  Only
-    level c and level c-1 are alive.
+    A new component of size j <= cut[k] (k on the largest side, max(k-1, 0)
+    on the smallest) leads to the same level on the largest side and to
+    level c-1 on the smallest; a larger one the other way round.  On
+    levels scaled by tau, one (level, m) step sums q_j times the level
+    after size j over the rows j of a reused block, in the same order at
+    every table width, and divides by m; for permutations (q = tau = 1)
+    it reads prefix sums at rows m - cut[k], an anti-diagonal of the
+    row-major table read as one strided view; off it lie the columns with
+    cut[k] >= m (row 0, all zero) and the smallest side's k = 0 (cut 0:
+    every j takes the other level).  Only level c and level c-1 are alive.
     """
     largest = side is Side.LARGEST
     k_max = n_max // r if largest else max(n_max - r + 2, 1)
-    ks = np.arange(k_max + 1)
-    cut = ks if largest else np.maximum(ks - 1, 0)
     width, rows = k_max + 1, n_max + 1
     q, tau = exp_log_weights(kind, n_max)
     uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
     if uniform:
         out = np.empty((rows, width))
         out[0] = 1.0
-        col = np.empty(width)
+        scratch = np.empty(width)
         shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
+        k0 = 0 if largest else 1  # cut[k] = k - k0 for k >= k0, and cut[0] = 0
+        stride = min(1 - width, -1)  # flat step from [i, k] to [i - 1, k + 1]; one cell at width 1
     else:
+        ks = np.arange(width)
+        cut = ks if largest else np.maximum(ks - 1, 0)
         mask = np.arange(1, rows)[:, None] <= cut[None, :]  # mask[j-1, k]: j <= cut[k]
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
@@ -322,13 +327,18 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
             level[1] = 1.0  # the empty object
             low_flat, high_flat = low.reshape(-1), high.reshape(-1)
             for m in range(1, rows):
-                idx = (m - np.minimum(cut, m)) * width + ks  # flat index of row m - min(cut, m)
-                np.subtract(low[m], low_flat[idx], out=col)  # j = 1..min(cut, m)
-                col += high_flat[idx]  # j = min(cut, m)+1..m
+                # columns k0 <= k < end read rows m + k0 - k >= 1 of the prefix
+                # sums, one anti-diagonal; later ones would read the zero row 0
+                end, start = min(m + k0, width), m * width + k0
+                diag = slice(start, start + (end - k0) * stride, stride)
+                col = out[m] if c == r - 1 else scratch
+                np.subtract(low[m, k0:end], low_flat[diag], out=col[k0:end])  # j <= cut
+                col[k0:end] += high_flat[diag]  # j > cut
+                col[end:] = low[m, end:]
+                if k0:
+                    col[0] = high[m, 0]  # cut 0: every j > cut
                 col /= m
                 np.add(level[m], col, out=level[m + 1])
-                if c == r - 1:
-                    out[m] = col
         else:
             level[0] = 1.0  # the empty object
             for m in range(1, rows):

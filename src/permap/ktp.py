@@ -26,7 +26,8 @@ build in seconds.  The longest-side float table is the threshold-chain
 kernel of exact (its uniform-split path); the shortest-side float
 recursion is built here, apart from that kernel, so that the proven chain
 can validate it.  It runs one rank at a time over row-major [n, k] prefix
-sums, one contiguous row per size n, keeps a full value table for the
+sums, one contiguous row per size n, whose step reads one anti-diagonal of
+the prefix sums as a strided view; it keeps a full value table for the
 requested rank only, and returns it as [n, k].
 
 Every table here, exact or float, lives in exact's one store and grows
@@ -122,12 +123,17 @@ def delta(r: int, k: int, n: int) -> int:
         raise ValueError("delta requires k >= 1 and n >= 1")
     if k > n:
         return 0
+    return _delta(r, k, n, math.factorial(n - 1))
+
+
+def _delta(r: int, k: int, n: int, fact: int) -> int:
+    """delta(r, k, n) for valid 1 <= k <= n, given fact = (n-1)!."""
     m = n - k
     if (r - 1, m) not in _ELEMENTARY:
         for q, e in enumerate(_elementary(*(harmonic(m, power) for power in (1, 2, 3))), 1):
             _ELEMENTARY[q, m] = e
     e = _ELEMENTARY[r - 1, m]
-    val, rem = divmod(math.factorial(n - 1) * e.numerator, e.denominator)
+    val, rem = divmod(fact * e.numerator, e.denominator)
     if rem:
         raise ArithmeticError(f"correction term not integral at (r={r}, k={k}, n={n})")
     return val
@@ -177,7 +183,7 @@ def _v_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
         s = 0
         for n in range(k + r - 1, n_max + 1):
             s = (n - 1) * s + low[n - 1] + fact[n - 1] // fact[n - k] * (row[n - k] - low[n - k])
-            row[n] = s + (delta(r, k, n) if r > 1 else 0)
+            row[n] = s + (_delta(r, k, n, fact[n - 1]) if r > 1 else 0)
         rows.append(row)
     return rows
 
@@ -241,8 +247,9 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     Returns the row-major table z[n, k], so that each step n reads and
     writes contiguous rows; callers keep it in exact's store.  Rank q
     keeps only its prefix sums cum[i, k] = sum of its values at sizes < i,
-    and the step reads cum[n-k+1, k] through one flat index; the rank-r
-    values are the only full table.  The correction D_q[k, n] =
+    and step n reads cum[n-k+1, k] for k = 1..t, an anti-diagonal, as one
+    strided view of the flat table (columns past t are not written at n);
+    the rank-r values are the only full table.  The correction D_q[k, n] =
     delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n
     (see delta), so e_1..e_3 are built once from the harmonic sums and row
     n of D_q is a reversed slice of one of them; no D table is held.
@@ -251,7 +258,6 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     that the proven chain validates.
     """
     width = k_max + 1
-    step = np.arange(width) * (width - 1)  # flat index of cum[n-k+1, k] is (n+1)*width - step[k]
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
     cum_prev = prev_flat = None
     for q in range(1, r + 1):
@@ -269,14 +275,14 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
         for n in range(1, n_max + 1):
             t = min(n if q == 1 else n - q + 1, k_max)
             out = z[n] if q == r else row
-            if t >= 1:
-                idx = (n + 1) * width - step[1 : t + 1]
-                own = flat[idx]
+            if t >= 1:  # cum[n-k+1, k] for k = 1..t: an anti-diagonal, width - 1 flat cells apart
+                diag = slice(n * width + 1, (n - t) * width + t + 1, 1 - width)
+                own = flat[diag]
                 if q == 1:
                     out[1 : t + 1] = own / n
                 else:
                     d = e[q - 2][n - t : n][::-1] / n  # D_q[k, n] for k = 1..t
-                    out[1 : t + 1] = d + (cum_prev[n, 1 : t + 1] - prev_flat[idx] + own) / n
+                    out[1 : t + 1] = d + (cum_prev[n, 1 : t + 1] - prev_flat[diag] + own) / n
             np.add(cum[n], out, out=cum[n + 1])
         cum_prev, prev_flat = cum, flat
     return z
