@@ -259,9 +259,8 @@ def test_pmf_float_mass_within_tolerance() -> None:
         assert abs(got.mass() - 1.0) <= 1e-9
 
 
-def test_pmf_float_extended_precision_path() -> None:
-    # mapping tables past n=200 were once built in extended precision; the
-    # float64 chain must keep the mass continuous across that former switch
+def test_pmf_float_mass_is_continuous_at_n_200_and_201() -> None:
+    # the mapping chain's mass stays within 1e-11 of 1 at two adjacent sizes
     lo = pmf_float(M, 200, 2, L)
     hi = pmf_float(M, 201, 2, L)
     assert abs(sum(lo.probs) - 1.0) <= 1e-11
@@ -331,6 +330,19 @@ def test_permutation_chain_is_the_gathered_chain_bit_for_bit() -> None:
                 want = _gather_chain(side, r, n_max)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (side, r, n_max)
+
+
+def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
+    # an m-object has at most m components, so levels past n_max + 1 change
+    # no cell; the gathered chain runs every level it is asked for
+    for kind in (P, M):
+        for side in (L, S):
+            for n_max in (1, 2, 3, 5, 17, 40, 120):
+                want = _build_chain(kind, side, n_max + 1, n_max)
+                for r in (n_max + 2, n_max + 5, 3 * n_max + 7):
+                    assert np.array_equal(_build_chain(kind, side, r, n_max), want), (r, n_max)
+                    if kind is P:
+                        assert np.array_equal(_gather_chain(side, r, n_max), want), (r, n_max)
 
 
 def test_precision_error_is_arithmetic_error() -> None:

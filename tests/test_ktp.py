@@ -273,6 +273,16 @@ def test_pmf_from_tables_matches_rank_window_engine() -> None:
                 assert pmf_from_tables(r, n, side).probs == exact.pmf(P, n, r, side).probs
 
 
+def test_exact_counts_past_rank_n_max_plus_one_are_all_n_factorial(monkeypatch) -> None:
+    # an n-permutation has at most n cycles, so from rank n_max + 1 on every
+    # cell u_r(k, n) counts all n! permutations, whatever the rank
+    for n_max in range(31):
+        monkeypatch.setattr(exact, "_TABLES", {})
+        want = [[math.factorial(n) for n in range(n_max + 1)]] * (n_max + 1)
+        for r in (n_max + 1, n_max + 2, n_max + 5, 3 * n_max + 7):
+            assert ktp._u_rows(r, n_max, n_max) == want, (r, n_max)
+
+
 # ---------------------------------------------------------------------------
 # normalized float tables
 
@@ -301,9 +311,10 @@ def test_normalized_v_matches_exact() -> None:
 
 
 def test_pmf_float_route_matches_exact_route() -> None:
+    # n < r reads length-1 rows: the whole mass at 0, from the tail cell k = 1
     for r in (2, 3, 4):
         for side in (L, S):
-            for n in (10, 25, 40):
+            for n in (1, 2, 3, 4, 5, 6, 10, 25, 40):
                 want = pmf_from_tables(r, n, side).probs
                 got = pmf_from_tables_float(r, n, side).probs
                 assert len(got) == len(want)
