@@ -20,7 +20,7 @@ an argument the parser rejects (such as a negative --digits), a request
 the library rejects (a ValueError, such as a rank the engine does not
 cover), an --output path that cannot be written (checked up front), or
 a request too large for the memory at hand (MemoryError); 3 a precision
-guard failed (PrecisionError: a float engine's mass-sum or negative-mass
+guard failed (PrecisionError: a float engine's mass-sum or probability-range
 check, or a quadrature error above its tolerance).
 """
 

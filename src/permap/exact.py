@@ -51,15 +51,21 @@ Combinatorics, II and VII): a new component has size j with probability
 q_j tau_{m-j} / (m tau_m) (kinds), so on levels scaled by tau one
 (level, m) step is m W[m] = sum_j q_j W'[m-j].  For permutations
 q = tau = 1 and the sums are the prefix sums of Knuth and Trabb Pardo
-(1976).  The chain runs in float64; ktp reads its longest-side float
-tables from it.
+(1976).  The chain runs in float64; ktp's longest-side float PMFs are
+pmf_float's.
 
 All computations are deterministic: summation orders are fixed, and
 results do not depend on call order.
 
 Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
-one grow rule; create none of your own state here.
+one grow rule; create none of your own state here.  A table builder is a
+pure function of its rank and sizes: it runs its lower ranks itself and
+never calls the store.  An object of size <= n has at most n components,
+so a rank past n + 1 changes no digest: the chain and ktp's exact counts
+run at most n_max + 1 ranks, and the window recursion keeps at most n + 1
+entries.  Row n of every cumulative table, exact or float, is read as a
+PMF by one differencing rule (_differences).
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ RankEntry = int | float  # int size or the INFINITY placeholder
 
 
 class PrecisionError(ArithmeticError):
-    """A float result failed its guard: mass sum, negative mass or quadrature error."""
+    """A float result failed its guard: mass sum, probability range or quadrature error."""
 
 
 @dataclass(frozen=True)
@@ -237,11 +243,23 @@ def smallest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPo
     return _poly(kind, Side.SMALLEST, n, ranks)
 
 
+def top_threshold(n: int, r: int, side: Side) -> int:
+    """Last threshold k that a cumulative table reads at size n.
+
+    Largest side: the CDF P{digest <= k} is 1 from k = n//r on, since r
+    components larger than n/r will not fit.  Smallest side: the tail
+    P{digest >= k} is 0 from k = max(n-r+2, 1) on, since the r-th smallest
+    is at most n - (r-1) singleton companions.
+    """
+    if side is Side.LARGEST:
+        return n // r
+    return max(n - r + 2, 1)
+
+
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
-    if side is Side.LARGEST:
-        return n // r + 1  # r components larger than n/r will not fit
-    return max(n - r + 2, 1)  # r-th smallest <= n - (r-1) singleton companions
+    top = top_threshold(n, r, side)
+    return top + 1 if side is Side.LARGEST else top
 
 
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
@@ -250,10 +268,11 @@ def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
         raise ValueError("pmf requires n >= 1")
     if r < 1:
         raise ValueError("pmf requires r >= 1")
+    slots = min(r, n + 1)  # at most n components: a wider window keeps the digest 0
     if side is Side.LARGEST:
-        coeffs = largest_poly(kind, n, (0,) * r).coeffs
+        coeffs = largest_poly(kind, n, (0,) * slots).coeffs
     else:
-        coeffs = smallest_poly(kind, n, (INFINITY,) * r).coeffs
+        coeffs = smallest_poly(kind, n, (INFINITY,) * slots).coeffs
     length = support_length(n, r, side)
     if len(coeffs) > length:
         raise AssertionError(f"support bound violated: {len(coeffs)} > {length}")
@@ -281,14 +300,15 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
     """Top level of the chain as a table[m, k], sizes m = 0..n_max.
 
     Level c = 0..r-1 holds P{an m-object has at most c counted
-    components}.  The largest side counts components of size > k, for
-    thresholds k = 0..n_max//r, and row n of the top level r-1 is the CDF
-    of the r-th largest size at n.  The smallest side counts components
-    of size < k, for k = 0..max(n_max-r+2, 1).  Its top level is
-    P{fewer than r components below k}; subtracting P{fewer than r
-    components}, which is row m's own value at k = max(m-r+2, 1) (r
-    components put the r-th smallest below m-r+2), leaves
+    components}, for thresholds k = 0..top_threshold(n_max, r, side).  The
+    largest side counts components of size > k, and row n of the top
+    level r-1 is the CDF of the r-th largest size at n.  The smallest side
+    counts components of size < k.  Its top level is P{fewer than r
+    components below k}; subtracting P{fewer than r components}, which is
+    row m's own value at k = top_threshold(m, r, side), leaves
     P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
+    Levels past n_max, where every m-object has at most c components,
+    change no cell, so at most n_max + 1 levels run.
 
     A new component of size j <= cut[k] (k on the largest side, max(k-1, 0)
     on the smallest) leads to the same level on the largest side and to
@@ -302,8 +322,8 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
     every j takes the other level).  Only level c and level c-1 are alive.
     """
     largest = side is Side.LARGEST
-    k_max = n_max // r if largest else max(n_max - r + 2, 1)
-    width, rows = k_max + 1, n_max + 1
+    width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
+    levels = min(r, rows)
     q, tau = exp_log_weights(kind, n_max)
     uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
     if uniform:
@@ -320,7 +340,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
     level = np.zeros(shape)  # level -1 is identically zero
-    for c in range(r):
+    for c in range(levels):
         prev, level = level, np.zeros(shape)
         low, high = (level, prev) if largest else (prev, level)
         if uniform:
@@ -331,7 +351,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
                 # sums, one anti-diagonal; later ones would read the zero row 0
                 end, start = min(m + k0, width), m * width + k0
                 diag = slice(start, start + (end - k0) * stride, stride)
-                col = out[m] if c == r - 1 else scratch
+                col = out[m] if c == levels - 1 else scratch
                 np.subtract(low[m, k0:end], low_flat[diag], out=col[k0:end])  # j <= cut
                 col[k0:end] += high_flat[diag]  # j > cut
                 col[end:] = low[m, end:]
@@ -352,19 +372,8 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
     top = out if uniform else level
     top /= tau[:, None]
     if not largest:
-        sizes = np.arange(rows)
-        top -= top[sizes, np.maximum(sizes - r + 2, 1)][:, None]
+        top -= top[range(rows), [top_threshold(m, r, side) for m in range(rows)]][:, None]
     return top
-
-
-def _checked_probs(probs: np.ndarray) -> np.ndarray:
-    """Clip rounding-level negatives; PrecisionError beyond the mass tolerance."""
-    if probs.min() < -_MASS_TOL:
-        raise PrecisionError(f"negative probability {probs.min()!r} from differencing")
-    np.clip(probs, 0.0, None, out=probs)
-    if abs(probs.sum() - 1.0) > _MASS_TOL:
-        raise PrecisionError(f"mass-sum check failed: total = {probs.sum()!r}")
-    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +389,9 @@ def _stored(build, args: tuple, sizes: tuple[int, ...]):
     dimension.  A stored table too small for a request in any dimension is
     rebuilt at max(asked, 5/4 of held) in each dimension, so requests for
     n = 1..N in ascending order cost O(log N) builds.  The store holds
-    tables and computes nothing.
+    tables and computes nothing, and build never calls it: a builder runs
+    its lower ranks itself, at most n_max + 1 of them where ranks are
+    unbounded, so every build is one call whose sizes are known up front.
     """
     key = (build, *args)
     hit = _TABLES.get(key)
@@ -394,26 +405,34 @@ def _stored(build, args: tuple, sizes: tuple[int, ...]):
     return table
 
 
+def _differences(row: Sequence, total, side: Side) -> list:
+    """total times the PMF of the digest, from cells k = 0..top_threshold of row n.
+
+    Largest side: the cells are total P{digest <= k}.  Smallest side: cell
+    k >= 1 is total P{digest >= k}, 0 at the top threshold, with the
+    fewer-than-r-components digest 0; cell 0 is not read.  total is n! for
+    exact counts and 1.0 for float tables; ints stay exact.
+    """
+    if side is Side.LARGEST:
+        return [row[0]] + [row[k] - row[k - 1] for k in range(1, len(row))]
+    return [total - row[1]] + [row[k] - row[k + 1] for k in range(1, len(row) - 1)]
+
+
 def _row_pmf(table: np.ndarray, n: int, r: int, side: Side) -> np.ndarray:
     """Guarded PMF of the r-th ranked size at n, from row n of a float table[n, k].
 
-    Largest side: the row is the CDF P{digest <= k}.  Smallest side: the
-    row at k >= 1 is the tail P{digest >= k}, with the
-    fewer-than-r-components digest 0.
+    Rounding-level values outside [0, 1] are clipped into it; a value
+    further out, or a mass sum off 1 by more than the tolerance, raises
+    PrecisionError.
     """
-    length = support_length(n, r, side)
-    if side is Side.LARGEST:
-        cdf = table[n, :length]
-        if abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
-            raise PrecisionError(f"mass-sum check failed: CDF top = {float(cdf[-1])!r}")
-        probs = np.diff(cdf, prepend=0.0)
-    else:
-        tail = table[n, : length + 1]
-        probs = np.empty(length)
-        probs[0] = 1.0 - tail[1] if length > 1 else 1.0
-        if length > 1:
-            probs[1:] = tail[1:length] - tail[2 : length + 1]
-    return _checked_probs(probs)
+    row = table[n, : top_threshold(n, r, side) + 1].tolist()
+    probs = np.array(_differences(row, 1.0, side))
+    if probs.min() < -_MASS_TOL or probs.max() > 1.0 + _MASS_TOL:
+        raise PrecisionError(f"probability {probs.min()!r}..{probs.max()!r} from differencing")
+    np.clip(probs, 0.0, 1.0, out=probs)
+    if abs(probs.sum() - 1.0) > _MASS_TOL:
+        raise PrecisionError(f"mass-sum check failed: total = {probs.sum()!r}")
+    return probs
 
 
 def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
@@ -430,4 +449,4 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     if r < 1:
         raise ValueError("pmf_float requires r >= 1")
     probs = _row_pmf(_stored(_build_chain, (kind, side, r), (n,)), n, r, side)
-    return ComponentPMF(kind, n, r, side, tuple(float(p) for p in probs))
+    return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

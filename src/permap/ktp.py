@@ -22,17 +22,18 @@ differences of a column give the exact PMF of the r-th ranked cycle size,
 which must (and does, in tests) match the rank-window engine.  The float
 tables hold counts normalised by n!, where the falling-factorial weights
 collapse to 1/n and prefix sums make every cell O(1); n = 2500 tables
-build in seconds.  The longest-side float table is the threshold-chain
-kernel of exact (its uniform-split path); the shortest-side float
+build in seconds.  The longest-side float PMF is exact's threshold chain
+(pmf_float), which covers the same counts; the shortest-side float
 recursion is built here, apart from that kernel, so that the proven chain
 can validate it.  It runs one rank at a time over row-major [n, k] prefix
 sums, one contiguous row per size n, whose step reads one anti-diagonal of
 the prefix sums as a strided view; it keeps a full value table for the
 requested rank only, and returns it as [n, k].
 
-Every table here, exact or float, lives in exact's one store and grows
-by its one rule; exact's row reader turns a float table's row n into a
-guarded PMF, while the exact tables keep their own Fraction differencing.
+Every builder here runs ranks 1..r itself from the all-zero rank 0 and
+never calls the store; every table, exact or float, lives in exact's one
+store and grows by its one rule, and row n of each is read by exact's one
+differencing rule, as Fractions over n! or as a guarded float PMF.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import exact
 from .kinds import ObjectKind, Side
-from .exact import support_length
+from .exact import top_threshold
 from .stats import ComponentPMF
 
 _MAX_RANK = 4  # correction closed forms are only established through rank 4
@@ -149,17 +150,20 @@ def _u_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
     u_r(k, n) = sum_{m<k} F(n, m) u_r(k, n-1-m) + sum_{k<=m<n} F(n, m)
     u_{r-1}(k, n-1-m) with each m raised by one; the difference telescopes to
     u_r(k, n) = n u_r(k, n-1) - F(n, k) [u_r(k, n-1-k) - u_{r-1}(k, n-1-k)].
+    Each column runs ranks 1..r in turn; an n-permutation has at most n
+    cycles, so ranks past n_max + 1 (every cell n!) are not run.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    prev = exact._stored(_u_rows, (r - 1,), (k_max, n_max)) if r > 1 else None
     rows = []
     for k in range(k_max + 1):
-        low = prev[k] if prev else [0] * (n_max + 1)
-        row = [1] + [0] * n_max
-        for n in range(1, n_max + 1):
-            row[n] = n * row[n - 1]
-            if n > k:
-                row[n] -= fact[n - 1] // fact[n - 1 - k] * (row[n - 1 - k] - low[n - 1 - k])
+        falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
+        row = [0] * (n_max + 1)
+        for _ in range(min(r, n_max + 1)):
+            low, row = row, [1] + [0] * n_max
+            for n in range(1, n_max + 1):
+                row[n] = n * row[n - 1]
+                if n > k:
+                    row[n] -= falling[n] * (row[n - 1 - k] - low[n - 1 - k])
         rows.append(row)
     return rows
 
@@ -173,17 +177,19 @@ def _v_rows(r: int, k_max: int, n_max: int) -> list[list[int]]:
     delta_r it is s, which telescopes as in _u_rows; s starts at n = k + r - 1
     from 0 because at n = k + r - 2 every term of the sum vanishes: delta_r
     is (n-1)! e_{r-1} of r - 2 reciprocals, and each table read is a zero cell.
+    Each column runs ranks q = 1..r in turn.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    prev = exact._stored(_v_rows, (r - 1,), (k_max, n_max)) if r > 1 else None
     rows = [fact]
     for k in range(1, k_max + 1):
-        low = prev[k] if prev else [0] * (n_max + 1)
-        row = [1 if r == 1 else 0] + [0] * n_max
-        s = 0
-        for n in range(k + r - 1, n_max + 1):
-            s = (n - 1) * s + low[n - 1] + fact[n - 1] // fact[n - k] * (row[n - k] - low[n - k])
-            row[n] = s + (_delta(r, k, n, fact[n - 1]) if r > 1 else 0)
+        falling = [fact[n - 1] // fact[n - k] if n >= k else 0 for n in range(n_max + 1)]
+        row = [0] * (n_max + 1)
+        for q in range(1, r + 1):
+            low, row = row, [1 if q == 1 else 0] + [0] * n_max
+            s = 0
+            for n in range(k + q - 1, n_max + 1):
+                s = (n - 1) * s + low[n - 1] + falling[n] * (row[n - k] - low[n - k])
+                row[n] = s + (_delta(q, k, n, fact[n - 1]) if q > 1 else 0)
         rows.append(row)
     return rows
 
@@ -216,20 +222,13 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
         raise ValueError("pmf_from_tables requires n >= 1 and r >= 1")
     if side is Side.SMALLEST and r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
+    top = top_threshold(n, r, side)
+    rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), (top, n))
     fact = math.factorial(n)
-    length = support_length(n, r, side)
-    if side is Side.LARGEST:
-        rows = exact._stored(_u_rows, (r,), (n // r, n))
-        cdf = [rows[k][n] for k in range(length)]
-        probs = [Fraction(cdf[0], fact)]
-        probs += [Fraction(cdf[k] - cdf[k - 1], fact) for k in range(1, length)]
-    else:
-        rows = exact._stored(_v_rows, (r,), (max(n - r + 2, 1), n))
-        tail = [rows[k][n] for k in range(length + 1)] if length > 1 else [fact, 0]
-        probs = [Fraction(fact - tail[1], fact)]
-        probs += [Fraction(tail[k] - tail[k + 1], fact) for k in range(1, length)]
+    counts = exact._differences([rows[k][n] for k in range(top + 1)], fact, side)
     conj = side is Side.SMALLEST and r > 1
-    return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(probs), conjectural=conj)
+    return ComponentPMF(ObjectKind.PERMUTATION, n, r, side,
+                        tuple(Fraction(c, fact) for c in counts), conjectural=conj)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +290,16 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     """Float PMF of the r-th ranked cycle size from the normalised tables.
 
-    The largest side reads the threshold-chain kernel; the smallest side
-    runs the conjectural recursion.  Both raise PrecisionError when the
-    mass-sum or negative-mass check fails.
+    The largest side is exact.pmf_float's threshold chain; the smallest
+    side runs the conjectural recursion.  Both raise PrecisionError when
+    the mass-sum or probability-range check fails.
     """
     if n < 1 or r < 1:
         raise ValueError("pmf_from_tables_float requires n >= 1 and r >= 1")
     if side is Side.LARGEST:
-        table = exact._stored(exact._build_chain, (ObjectKind.PERMUTATION, side, r), (n,))
-    elif r > _MAX_RANK:
+        return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
+    if r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
-    else:
-        table = exact._stored(_v_norm, (r,), (max(n - r + 2, 1), n))
-    probs = exact._row_pmf(table, n, r, side)
-    conj = side is Side.SMALLEST and r > 1
-    return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(float(p) for p in probs),
-                        conjectural=conj)
+    table = exact._stored(_v_norm, (r,), (top_threshold(n, r, side), n))
+    probs = exact._row_pmf(table, n, r, side).tolist()
+    return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(probs), conjectural=r > 1)

@@ -86,6 +86,20 @@ def _mode(probs: Sequence[Prob]) -> int:
     return arg
 
 
+def _per_log_power(value: float, factor: float, logn: float, power: int) -> float:
+    """value / (factor * logn**power), in logarithms when logn**power is no float.
+
+    Past rank n all the mass sits at 0 and value is 0, but logn**power
+    overflows (or, at n = 2, underflows to 0) long before that matters.
+    """
+    if abs(power * math.log(logn)) < 700:  # logn**power lies within 1e-304..1e304
+        return value / (factor * logn ** power)
+    if value == 0.0:
+        return 0.0
+    exponent = math.log(abs(value)) - math.log(factor) - power * math.log(logn)
+    return math.copysign(math.exp(exponent), value)
+
+
 def summarize(pmf: ComponentPMF) -> SummaryStats:
     """Mean, variance, median, mode of a ComponentPMF, raw and normalised."""
     probs = pmf.probs
@@ -106,11 +120,11 @@ def summarize(pmf: ComponentPMF) -> SummaryStats:
         if logn == 0.0:
             norm_mean = norm_var = math.nan  # n = 1: no meaningful scale
         elif pmf.kind is ObjectKind.PERMUTATION:
-            norm_mean = float(mean) / logn**r
-            norm_var = float(variance) / (n * logn ** (r - 1))
+            norm_mean = _per_log_power(float(mean), 1, logn, r)
+            norm_var = _per_log_power(float(variance), n, logn, r - 1)
         else:
-            norm_mean = float(mean) / (math.sqrt(n) * logn ** (r - 1))
-            norm_var = float(variance) / (n ** 1.5 * logn ** (r - 1))
+            norm_mean = _per_log_power(float(mean), math.sqrt(n), logn, r - 1)
+            norm_var = _per_log_power(float(variance), n ** 1.5, logn, r - 1)
         norm_median = median / n
         norm_mode = float(mode)
     return SummaryStats(mean, variance, median, mode,

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from permap import asymptotics, exact, ktp
-from permap.cli import main
+from permap.cli import _ENGINES, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -299,6 +299,27 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         out, err = capsys.readouterr()
         assert exc.value.code == 2, argv
         assert message in err and out == ""
+
+
+@pytest.mark.parametrize("kind", ["permute", "map"])
+def test_ranks_far_above_n_exit_0_or_2_without_a_traceback(capsys, kind) -> None:
+    # past rank n all the mass sits at 0: every engine that serves the
+    # request answers at once, with mean and variance 0, and no scale
+    # log(n)^r is formed where it overflows (n = 5) or underflows (n = 2)
+    cases = [("--rank", str(rank), "--n", "2,5", "--engine", engine, "--side", side)
+             for rank in (6, 1500, 2500, 10**6) for engine in _ENGINES
+             for side in ("both", "largest")]  # ktp serves rank > 4 on the largest side only
+    cases.append(("--rank", "2000", "--n", "5", "--engine", "ktp", "--side", "largest"))
+    for argv in cases:
+        code, out, err = run(capsys, "table", "--kind", kind, *argv, "--format", "json")
+        assert code in (0, 2), argv
+        if code == 2:
+            assert err.startswith("error:") and out == "", argv
+            continue
+        for row in json.loads(out)["rows"]:
+            for col in ("L_mu_norm", "L_sigma2_norm", "S_mu_norm", "S_sigma2_norm"):
+                if col in row:
+                    assert row[col] == 0.0, (argv, row)
 
 
 def test_memory_error_exits_2_without_a_traceback(capsys, monkeypatch) -> None:

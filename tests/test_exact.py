@@ -27,6 +27,7 @@ from permap.exact import (
 )
 from permap.kinds import ObjectKind, Side, total_count
 from permap.oracle import _spectrum
+from permap.stats import summarize
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -267,6 +268,18 @@ def test_pmf_float_mass_is_continuous_at_n_200_and_201() -> None:
     assert abs(sum(hi.probs) - 1.0) <= 1e-11
 
 
+def test_pmf_float_probabilities_lie_in_the_unit_interval() -> None:
+    # mapping q_1 = gammaincc(1, 1) and tau_1 = exp(-1) round apart, which
+    # once left 1.0000000000000002 at n = 1 and a negative variance
+    for kind in (P, M):
+        for side in (L, S):
+            for r in (1, 2, 3, 4):
+                for n in range(1, 61):
+                    got = pmf_float(kind, n, r, side)
+                    assert all(0.0 <= p <= 1.0 for p in got.probs), (kind, side, r, n)
+                    assert summarize(got).variance >= 0.0, (kind, side, r, n)
+
+
 def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
     # each cell sums over the new component's size in one fixed order, so
     # row n of a table built for a larger n_max holds a one-size build's bits
@@ -341,7 +354,7 @@ def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
                 want = _build_chain(kind, side, n_max + 1, n_max)
                 for r in (n_max + 2, n_max + 5, 3 * n_max + 7):
                     assert np.array_equal(_build_chain(kind, side, r, n_max), want), (r, n_max)
-                    if kind is P:
+                    if kind is P and r == n_max + 2:
                         assert np.array_equal(_gather_chain(side, r, n_max), want), (r, n_max)
 
 

@@ -283,6 +283,28 @@ def test_exact_counts_past_rank_n_max_plus_one_are_all_n_factorial(monkeypatch) 
             assert ktp._u_rows(r, n_max, n_max) == want, (r, n_max)
 
 
+def test_builders_never_call_the_store(monkeypatch) -> None:
+    # each builder is a pure function of its rank and sizes: it runs its
+    # lower ranks itself instead of reading them from the store
+    tables = {}
+    for r in (1, 2, 3, 4):
+        for name in ("_u_rows", "_v_rows"):
+            tables[name, r] = exact._stored(getattr(ktp, name), (r,), (7, 12))
+
+    def refuse(*args):
+        raise AssertionError("a table builder called the store")
+
+    monkeypatch.setattr(exact, "_stored", refuse)
+    for r in (1, 2, 3, 4):
+        for side in (L, S):
+            for kind in (P, M):
+                assert exact._build_chain(kind, side, r, 12).shape[0] == 13
+        assert ktp._v_norm(r, 7, 12).shape == (13, 8)
+        for name in ("_u_rows", "_v_rows"):
+            rows = getattr(ktp, name)(r, 7, 12)
+            assert [row[:13] for row in rows[:8]] == [row[:13] for row in tables[name, r][:8]]
+
+
 # ---------------------------------------------------------------------------
 # normalized float tables
 

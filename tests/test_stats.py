@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from permap.exact import pmf
@@ -79,6 +80,19 @@ def test_smallest_side_normalization_mapping() -> None:
     log = math.log(50)
     assert math.isclose(got.normalized_mean, mean / (math.sqrt(50) * log))
     assert math.isclose(got.normalized_variance, var / (50**1.5 * log))
+
+
+def test_smallest_side_normalization_past_the_float_range() -> None:
+    # log(1000)^368 overflows a float, yet mean / log(n)^r is ~4e-307; at
+    # n = 2, log(2)^2500 underflows to 0 beside a mean of exactly 0
+    probs = [0.0] * 500 + [1.0]
+    got = summarize(synthetic(probs, n=1000, rank=368, side=S))
+    want = Decimal(500) / Decimal(math.log(1000)) ** 368
+    assert math.isclose(got.normalized_mean, float(want), rel_tol=1e-9)
+    assert got.normalized_variance == 0.0
+    for kind in (P, M):
+        got = summarize(synthetic([1.0], kind=kind, n=2, rank=2500, side=S))
+        assert (got.normalized_mean, got.normalized_variance) == (0.0, 0.0)
 
 
 def test_single_node_smallest_normalization_is_nan() -> None:
