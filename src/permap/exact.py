@@ -406,7 +406,7 @@ def _stored(build, args: tuple, sizes: tuple[int, ...]):
 
 
 def _differences(row: Sequence, total, side: Side) -> list:
-    """total times the PMF of the digest, from cells k = 0..top_threshold of row n.
+    """The digest's PMF times total, from cells k = 0..top_threshold of row n.
 
     Largest side: the cells are total P{digest <= k}.  Smallest side: cell
     k >= 1 is total P{digest >= k}, 0 at the top threshold, with the

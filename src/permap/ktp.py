@@ -247,7 +247,8 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
     writes contiguous rows; callers keep it in exact's store.  Rank q
     keeps only its prefix sums cum[i, k] = sum of its values at sizes < i,
     and step n reads cum[n-k+1, k] for k = 1..t, an anti-diagonal, as one
-    strided view of the flat table (columns past t are not written at n);
+    strided view of the flat table (columns k > t, from the top threshold
+    of (n, q) on, hold 0 and are not written at n);
     the rank-r values are the only full table.  The correction D_q[k, n] =
     delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n
     (see delta), so e_1..e_3 are built once from the harmonic sums and row
@@ -272,7 +273,7 @@ def _v_norm(r: int, k_max: int, n_max: int) -> np.ndarray:
             row = np.zeros(width)  # entries past t are never written: t grows with n
             row[0] = 1.0
         for n in range(1, n_max + 1):
-            t = min(n if q == 1 else n - q + 1, k_max)
+            t = min(top_threshold(n, q, Side.SMALLEST) - 1, k_max)
             out = z[n] if q == r else row
             if t >= 1:  # cum[n-k+1, k] for k = 1..t: an anti-diagonal, width - 1 flat cells apart
                 diag = slice(n * width + 1, (n - t) * width + t + 1, 1 - width)
