@@ -43,6 +43,7 @@ _EULER_GAMMA = float(np.euler_gamma)
 _X_MAX = 40  # xi_4 needs rho_4 at 1/xi_4 ~ 36.9
 _DEGREE = 32
 _QUAD_TOL = 1e-11
+_RHO_TOL = 1e-10  # the Dickman tables' documented absolute accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +68,15 @@ class DickmanTable:
     pieces: tuple[Chebyshev, ...]  # pieces[m] covers [m, m+1]
 
     def value(self, x: float) -> float:
+        """rho_r(x); raises PrecisionError if a piece leaves [0, 1] beyond _RHO_TOL."""
         if x < 0.0 or x > self.x_max:
             raise ValueError(f"x={x} outside table range [0, {self.x_max}]")
         m = min(int(x), len(self.pieces) - 1)
+        val = float(self.pieces[m](x))
+        if not -_RHO_TOL <= val <= 1.0 + _RHO_TOL:
+            raise PrecisionError(f"rho_{self.r}({x}) = {val!r} lies outside [0, 1]")
         # clamp: far past the mass the polynomial tail dips ~1e-17 below 0
-        return min(1.0, max(0.0, float(self.pieces[m](x))))
+        return min(1.0, max(0.0, val))
 
 
 def _build_table(r: int, x_max: int) -> DickmanTable:

@@ -37,16 +37,16 @@ rather than mixing widths, so an ascending sweep rebuilds O(log n) times.
 The float engine runs the same recursion normalised by the total count
 t_n.  Tracking whole windows in floating point is hopeless at table
 sizes (the window space grows like n^r per level), but for one fixed
-threshold k the window projects onto a tiny sufficient statistic: the
-number of window entries beyond k.  Inserting j and dropping the
-minimum changes the count of >k entries by [j > k], capped at r, no
+threshold t the window projects onto a tiny sufficient statistic: the
+number of window entries larger than t.  Inserting j and dropping the
+minimum changes the count of >t entries by [j > t], capped at r, no
 matter what the window was, so the projection commutes with the window
-update.  The smallest side counts components below k the same way, and
-its tail P{r-th smallest >= k} is P{fewer than r components below k}
-minus P{fewer than r components}; that difference of two values near 1
-costs about 1e-14 of absolute accuracy.  The projected chain is run for
-every threshold at once as a numpy table of r levels, one per count.
-Both kinds are exp-log classes (Flajolet and Sedgewick, Analytic
+update.  The smallest side counts components of size <= t the same way,
+and its tail P{r-th smallest > t} is P{fewer than r components of size
+<= t} minus P{fewer than r components}; that difference of two values
+near 1 costs about 1e-14 of absolute accuracy.  The projected chain is
+run for every threshold at once as a numpy table of r levels, one per
+count.  Both kinds are exp-log classes (Flajolet and Sedgewick, Analytic
 Combinatorics, II and VII): a new component has size j with probability
 q_j tau_{m-j} / (m tau_m) (kinds), so on levels scaled by tau one
 (level, m) step is m W[m] = sum_j q_j W'[m-j].  For permutations
@@ -60,12 +60,19 @@ results do not depend on call order.
 Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
 one grow rule; create none of your own state here.  A table builder is a
-pure function of its rank and sizes: it runs its lower ranks itself and
+pure function of its rank and n_max: it runs its lower ranks itself and
 never calls the store.  An object of size <= n has at most n components,
 so a rank past n + 1 changes no digest: the chain and ktp's exact counts
 run at most n_max + 1 ranks, and the window recursion keeps at most n + 1
-entries.  Row n of every cumulative table, exact or float, is read as a
-PMF by one differencing rule (_differences).
+entries.
+
+Every cumulative table, exact or float, largest or smallest side, is
+indexed by one threshold t = 0..top_threshold(n_max, r, side), the
+largest possible digest: a component is small when its size is <= t,
+and cell t holds P{digest <= t} on the largest side and P{digest > t} on
+the smallest.  A builder takes its rank arguments and n_max only, so one
+size fixes a stored table.  Row n of every table is read as a PMF by one
+differencing rule (_differences).
 """
 
 from __future__ import annotations
@@ -244,22 +251,21 @@ def smallest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPo
 
 
 def top_threshold(n: int, r: int, side: Side) -> int:
-    """Last threshold k that a cumulative table reads at size n.
+    """Largest possible digest at size n: the last threshold t a table reads.
 
-    Largest side: the CDF P{digest <= k} is 1 from k = n//r on, since r
-    components larger than n/r will not fit.  Smallest side: the tail
-    P{digest >= k} is 0 from k = max(n-r+2, 1) on, since the r-th smallest
-    is at most n - (r-1) singleton companions.
+    Largest side: r components larger than n/r will not fit, so the digest
+    is at most n // r and the CDF P{digest <= t} is 1 from t = n // r on.
+    Smallest side: the r-th smallest is at most n - (r-1) singleton
+    companions, so the tail P{digest > t} is 0 from t = max(n-r+1, 0) on.
     """
     if side is Side.LARGEST:
         return n // r
-    return max(n - r + 2, 1)
+    return max(n - r + 1, 0)
 
 
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
-    top = top_threshold(n, r, side)
-    return top + 1 if side is Side.LARGEST else top
+    return top_threshold(n, r, side) + 1
 
 
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
@@ -297,29 +303,29 @@ _MASS_TOL = 1e-9
 
 
 def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray:
-    """Top level of the chain as a table[m, k], sizes m = 0..n_max.
+    """Top level of the chain as a table[m, t], sizes m = 0..n_max.
 
-    Level c = 0..r-1 holds P{an m-object has at most c counted
-    components}, for thresholds k = 0..top_threshold(n_max, r, side).  The
-    largest side counts components of size > k, and row n of the top
-    level r-1 is the CDF of the r-th largest size at n.  The smallest side
-    counts components of size < k.  Its top level is P{fewer than r
-    components below k}; subtracting P{fewer than r components}, which is
-    row m's own value at k = top_threshold(m, r, side), leaves
-    P{r-th smallest >= k}, with the fewer-than-r-components digest 0.
-    Levels past n_max, where every m-object has at most c components,
-    change no cell, so at most n_max + 1 levels run.
+    Both sides count the components that are large against threshold t,
+    for t = 0..top_threshold(n_max, r, side): the largest side those of
+    size > t, the smallest side those of size <= t.  Level c = 0..r-1 holds
+    P{an m-object has at most c counted components}.  On the largest side
+    row n of the top level r-1 is P{r-th largest <= t} at n.  On the
+    smallest side it is P{fewer than r components of size <= t};
+    subtracting P{fewer than r components}, which is row m's own value at
+    t = top_threshold(m, r, side), leaves P{r-th smallest > t}, with the
+    fewer-than-r-components digest 0.  Levels past n_max, where every
+    m-object has at most c components, change no cell, so at most n_max + 1
+    levels run.
 
-    A new component of size j <= cut[k] (k on the largest side, max(k-1, 0)
-    on the smallest) leads to the same level on the largest side and to
-    level c-1 on the smallest; a larger one the other way round.  On
+    A new component of size j <= t leads to the same level on the largest
+    side and to level c-1 on the smallest; a larger one the other way
+    round, so the two sides run one step on swapped (low, high) levels.  On
     levels scaled by tau, one (level, m) step sums q_j times the level
     after size j over the rows j of a reused block, in the same order at
-    every table width, and divides by m; for permutations (q = tau = 1)
-    it reads prefix sums at rows m - cut[k], an anti-diagonal of the
-    row-major table read as one strided view; off it lie the columns with
-    cut[k] >= m (row 0, all zero) and the smallest side's k = 0 (cut 0:
-    every j takes the other level).  Only level c and level c-1 are alive.
+    every table width, and divides by m; for permutations (q = tau = 1) it
+    reads prefix sums at rows m - t, an anti-diagonal of the row-major
+    table read as one strided view; off it lie the columns t >= m, which
+    would read the all-zero row 0.  Only level c and level c-1 are alive.
     """
     largest = side is Side.LARGEST
     width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
@@ -331,12 +337,9 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
         out[0] = 1.0
         scratch = np.empty(width)
         shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
-        k0 = 0 if largest else 1  # cut[k] = k - k0 for k >= k0, and cut[0] = 0
-        stride = min(1 - width, -1)  # flat step from [i, k] to [i - 1, k + 1]; one cell at width 1
+        stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     else:
-        ks = np.arange(width)
-        cut = ks if largest else np.maximum(ks - 1, 0)
-        mask = np.arange(1, rows)[:, None] <= cut[None, :]  # mask[j-1, k]: j <= cut[k]
+        mask = np.arange(1, rows)[:, None] <= np.arange(width)[None, :]  # mask[j-1, t]: j <= t
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
     level = np.zeros(shape)  # level -1 is identically zero
@@ -347,22 +350,20 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
             level[1] = 1.0  # the empty object
             low_flat, high_flat = low.reshape(-1), high.reshape(-1)
             for m in range(1, rows):
-                # columns k0 <= k < end read rows m + k0 - k >= 1 of the prefix
-                # sums, one anti-diagonal; later ones would read the zero row 0
-                end, start = min(m + k0, width), m * width + k0
-                diag = slice(start, start + (end - k0) * stride, stride)
+                # columns t < end read rows m - t >= 1 of the prefix sums, one
+                # anti-diagonal; later ones would read the zero row 0
+                end = min(m, width)
+                diag = slice(m * width, m * width + end * stride, stride)
                 col = out[m] if c == levels - 1 else scratch
-                np.subtract(low[m, k0:end], low_flat[diag], out=col[k0:end])  # j <= cut
-                col[k0:end] += high_flat[diag]  # j > cut
+                np.subtract(low[m, :end], low_flat[diag], out=col[:end])  # j <= t
+                col[:end] += high_flat[diag]  # j > t
                 col[end:] = low[m, end:]
-                if k0:
-                    col[0] = high[m, 0]  # cut 0: every j > cut
                 col /= m
                 np.add(level[m], col, out=level[m + 1])
         else:
             level[0] = 1.0  # the empty object
             for m in range(1, rows):
-                # block[j-1, k]: the value after a new component of size j
+                # block[j-1, t]: the value after a new component of size j
                 block = blocks[:m]
                 np.copyto(block, high[m - 1 :: -1])
                 np.copyto(block, low[m - 1 :: -1], where=mask[:m])
@@ -379,47 +380,47 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 # grown tables: one store, one grow rule
 
-_TABLES: dict[tuple, tuple[tuple[int, ...], object]] = {}
+_TABLES: dict[tuple, tuple[int, object]] = {}
 
 
-def _stored(build, args: tuple, sizes: tuple[int, ...]):
-    """build(*args, *sizes), kept per (build, args) and reused while big enough.
+def _stored(build, args: tuple, n: int):
+    """build(*args, n_max), kept per (build, args) and reused while big enough.
 
-    sizes are the largest indices a request reads, one per table
-    dimension.  A stored table too small for a request in any dimension is
-    rebuilt at max(asked, 5/4 of held) in each dimension, so requests for
-    n = 1..N in ascending order cost O(log N) builds.  The store holds
-    tables and computes nothing, and build never calls it: a builder runs
-    its lower ranks itself, at most n_max + 1 of them where ranks are
-    unbounded, so every build is one call whose sizes are known up front.
+    n is the largest size a request reads.  Every table's thresholds are
+    derived from its rank and n_max (top_threshold), so one held size
+    fixes the whole table.  A stored table held at a size below n is
+    rebuilt at n_max = max(n, 5/4 of held), so requests for n = 1..N in
+    ascending order cost O(log N) builds.  The store holds tables and
+    computes nothing, and build never calls it: a builder runs its lower
+    ranks itself, at most n_max + 1 of them where ranks are unbounded, so
+    every build is one call whose size is known up front.
     """
     key = (build, *args)
-    hit = _TABLES.get(key)
-    if hit is not None:
-        held, table = hit
-        if all(s <= h for s, h in zip(sizes, held)):
-            return table
-        sizes = tuple(max(s, h * 5 // 4) for s, h in zip(sizes, held))
-    table = build(*args, *sizes)
-    _TABLES[key] = (sizes, table)
+    held, table = _TABLES.get(key, (-1, None))  # -1: nothing held
+    if n <= held:
+        return table
+    n = max(n, held * 5 // 4)
+    table = build(*args, n)
+    _TABLES[key] = (n, table)
     return table
 
 
 def _differences(row: Sequence, total, side: Side) -> list:
-    """The digest's PMF times total, from cells k = 0..top_threshold of row n.
+    """The digest's PMF times total, from cells t = 0..top_threshold of row n.
 
-    Largest side: the cells are total P{digest <= k}.  Smallest side: cell
-    k >= 1 is total P{digest >= k}, 0 at the top threshold, with the
-    fewer-than-r-components digest 0; cell 0 is not read.  total is n! for
-    exact counts and 1.0 for float tables; ints stay exact.
+    Largest side: cell t is total P{digest <= t}, so digest t is cell t
+    less cell t-1.  Smallest side: cell t is total P{digest > t}, 0 at the
+    top threshold, with the fewer-than-r-components digest 0; digest 0 is
+    total less cell 0, and digest t >= 1 is cell t-1 less cell t.  total is
+    n! for exact counts and 1.0 for float tables; ints stay exact.
     """
     if side is Side.LARGEST:
-        return [row[0]] + [row[k] - row[k - 1] for k in range(1, len(row))]
-    return [total - row[1]] + [row[k] - row[k + 1] for k in range(1, len(row) - 1)]
+        return [row[0]] + [row[t] - row[t - 1] for t in range(1, len(row))]
+    return [total - row[0]] + [row[t - 1] - row[t] for t in range(1, len(row))]
 
 
 def _row_pmf(table: np.ndarray, n: int, r: int, side: Side) -> np.ndarray:
-    """Guarded PMF of the r-th ranked size at n, from row n of a float table[n, k].
+    """Guarded PMF of the r-th ranked size at n, from row n of a float table[n, t].
 
     Rounding-level values outside [0, 1] are clipped into it; a value
     further out, or a mass sum off 1 by more than the tolerance, raises
@@ -448,5 +449,5 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
         raise ValueError("pmf_float requires n >= 1")
     if r < 1:
         raise ValueError("pmf_float requires r >= 1")
-    probs = _row_pmf(_stored(_build_chain, (kind, side, r), (n,)), n, r, side)
+    probs = _row_pmf(_stored(_build_chain, (kind, side, r), n), n, r, side)
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

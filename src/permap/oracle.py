@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import support_length
 from .kinds import ObjectKind, Side, total_count
 from .stats import ComponentPMF
 
@@ -96,7 +95,8 @@ def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
         raise ValueError("enumerate_pmf requires n >= 1 and r >= 1")
     if n > _MAX_N[kind]:
         raise ValueError(f"enumeration budget is n <= {_MAX_N[kind]} for {kind.name}")
-    tally = [0] * support_length(n, r, side)
+    # r components of size > n // r do not fit; an r-th smallest of size m needs r - 1 others
+    tally = [0] * (n // r + 1 if side is Side.LARGEST else max(n - r + 2, 1))
     for sizes, count in _spectrum(kind, n).items():
         if r > len(sizes):
             k = 0

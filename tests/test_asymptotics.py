@@ -16,8 +16,10 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 from permap.asymptotics import (
+    DickmanTable,
     constants_catalog,
     density_f,
     density_g,
@@ -29,6 +31,7 @@ from permap.asymptotics import (
     moment_L,
     moment_S,
 )
+from permap.exact import PrecisionError
 
 from reference_tables import (
     LARGEST_MOMENTS,
@@ -169,6 +172,18 @@ def test_dickman_rejects_out_of_domain() -> None:
         dickman(1, -0.5)
     with pytest.raises(ValueError):
         dickman(1, 40.5)
+
+
+def test_dickman_table_clamps_rounding_and_refuses_a_broken_piece() -> None:
+    # rho_1 dips 3.0e-17 below 0 far past its mass: clamped; a piece that
+    # leaves [0, 1] beyond the 1e-10 accuracy is an error, not a clamp
+    assert DickmanTable(1, 1.0, (Chebyshev([-3e-17], domain=[0.0, 1.0]),)).value(0.5) == 0.0
+    assert DickmanTable(1, 1.0, (Chebyshev([1 + 5e-11], domain=[0.0, 1.0]),)).value(0.5) == 1.0
+    broken = DickmanTable(1, 2.0, (Chebyshev([1.0], domain=[0.0, 1.0]),
+                                   Chebyshev([1.5], domain=[1.0, 2.0])))
+    assert broken.value(0.5) == 1.0
+    with pytest.raises(PrecisionError):
+        broken.value(1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,18 @@ def test_quadrature_guard_exits_3_without_a_traceback(capsys, monkeypatch) -> No
     assert err.startswith("error:") and "quadrature" in err
 
 
+def test_doctored_dickman_table_exits_3_without_a_traceback(capsys, monkeypatch) -> None:
+    real = asymptotics._table(1)
+    pieces = list(real.pieces)
+    pieces[1] = pieces[1] + 0.5  # rho_1(1) = 1 becomes 1.5
+    doctored = asymptotics.DickmanTable(real.r, real.x_max, tuple(pieces))
+    monkeypatch.setattr(asymptotics, "_table", lambda r: doctored)
+    code, out, err = run(capsys, "constants")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "rho_1" in err
+
+
 def test_unknown_engine_is_rejected_by_parser(capsys) -> None:
     for engine in ("guess", "float"):  # float was an alias of exact-float
         with pytest.raises(SystemExit):

@@ -24,6 +24,7 @@ from permap.exact import (
     promote,
     smallest_poly,
     support_length,
+    top_threshold,
 )
 from permap.kinds import ObjectKind, Side, total_count
 from permap.oracle import _spectrum
@@ -221,6 +222,9 @@ def test_support_length_bounds() -> None:
             for side in (L, S):
                 probs = pmf(P, n, r, side).probs
                 assert len(probs) == support_length(n, r, side)
+                # the top threshold is the largest possible digest on both sides
+                assert support_length(n, r, side) == top_threshold(n, r, side) + 1
+                assert probs[-1] > 0
 
 
 def test_pmf_mass_is_exactly_one() -> None:
@@ -333,14 +337,21 @@ def _gather_chain(side, r, n_max):
     return out
 
 
+def _gathered(side, r, n_max):
+    # the gathered chain on the built table's thresholds: the smallest side's
+    # column k is threshold t = k - 1, and its column k = 0 is not built
+    want = _gather_chain(side, r, n_max)
+    return want if side is L else want[:, 1:]
+
+
 def test_permutation_chain_is_the_gathered_chain_bit_for_bit() -> None:
-    # widths 1 and 2, thresholds past m and the smallest side's k = 0
-    # column: the strided reads must round every cell as the gathers did
+    # widths 1 and 2 and thresholds past m: the strided reads must round
+    # every cell as the gathers did
     for side in (L, S):
         for r in (1, 2, 3, 4):
             for n_max in (1, 2, 3, 5, 37, 200):
                 got = _build_chain(P, side, r, n_max)
-                want = _gather_chain(side, r, n_max)
+                want = _gathered(side, r, n_max)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (side, r, n_max)
 
@@ -355,7 +366,7 @@ def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
                 for r in (n_max + 2, n_max + 5, 3 * n_max + 7):
                     assert np.array_equal(_build_chain(kind, side, r, n_max), want), (r, n_max)
                     if kind is P and r == n_max + 2:
-                        assert np.array_equal(_gather_chain(side, r, n_max), want), (r, n_max)
+                        assert np.array_equal(_gathered(side, r, n_max), want), (r, n_max)
 
 
 def test_precision_error_is_arithmetic_error() -> None:

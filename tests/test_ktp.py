@@ -278,18 +278,41 @@ def test_exact_counts_past_rank_n_max_plus_one_are_all_n_factorial(monkeypatch) 
     # cell u_r(k, n) counts all n! permutations, whatever the rank
     for n_max in range(31):
         monkeypatch.setattr(exact, "_TABLES", {})
-        want = [[math.factorial(n) for n in range(n_max + 1)]] * (n_max + 1)
+        fact = [math.factorial(n) for n in range(n_max + 1)]
         for r in (n_max + 1, n_max + 2, n_max + 5, 3 * n_max + 7):
-            assert ktp._u_rows(r, n_max, n_max) == want, (r, n_max)
+            assert ktp._u_rows(r, n_max) == [fact] * (n_max // r + 1), (r, n_max)
+            counts = longest_table(r, n_max, n_max).counts
+            assert counts == (tuple(fact),) * (n_max + 1), (r, n_max)
+
+
+@pytest.mark.parametrize("table, args", [
+    (longest_table, (2, 3, -1)),
+    (longest_table, (2, -1, 3)),
+    (shortest_table, (2, 3, -2)),
+    (shortest_table, (2, -1, 3)),
+    (longest_table, (True, 2, 2)),
+    (shortest_table, (True, 2, 2)),
+    (longest_table, (0, 2, 2)),
+    (shortest_table, (5, 2, 2)),
+], ids=["long-n", "long-k", "short-n", "short-k", "long-bool", "short-bool", "long-0",
+        "short-5"])
+def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, args) -> None:
+    def refuse(*args):
+        raise AssertionError("a refused request reached the store")
+
+    monkeypatch.setattr(exact, "_stored", refuse)
+    with pytest.raises(ValueError):
+        table(*args)
 
 
 def test_builders_never_call_the_store(monkeypatch) -> None:
-    # each builder is a pure function of its rank and sizes: it runs its
+    # each builder is a pure function of its rank and n_max: it runs its
     # lower ranks itself instead of reading them from the store
+    monkeypatch.setattr(exact, "_TABLES", {})
     tables = {}
     for r in (1, 2, 3, 4):
         for name in ("_u_rows", "_v_rows"):
-            tables[name, r] = exact._stored(getattr(ktp, name), (r,), (7, 12))
+            tables[name, r] = exact._stored(getattr(ktp, name), (r,), 12)
 
     def refuse(*args):
         raise AssertionError("a table builder called the store")
@@ -298,11 +321,11 @@ def test_builders_never_call_the_store(monkeypatch) -> None:
     for r in (1, 2, 3, 4):
         for side in (L, S):
             for kind in (P, M):
-                assert exact._build_chain(kind, side, r, 12).shape[0] == 13
-        assert ktp._v_norm(r, 7, 12).shape == (13, 8)
+                width = exact.top_threshold(12, r, side) + 1
+                assert exact._build_chain(kind, side, r, 12).shape == (13, width)
+        assert ktp._v_norm(r, 12).shape == (13, 14 - r)
         for name in ("_u_rows", "_v_rows"):
-            rows = getattr(ktp, name)(r, 7, 12)
-            assert [row[:13] for row in rows[:8]] == [row[:13] for row in tables[name, r][:8]]
+            assert getattr(ktp, name)(r, 12) == tables[name, r]
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +347,12 @@ def test_normalized_u_matches_exact() -> None:
 def test_normalized_v_matches_exact() -> None:
     for r in (1, 2, 3, 4):
         table = shortest_table(r, 20, 40)
-        norm = ktp._v_norm(r, 20, 40)
+        norm = ktp._v_norm(r, 40)
         for n in (1, 7, 23, 40):
             bound = math.factorial(n)
-            for k in range(0, 21):
+            for k in range(1, 21):  # column t = k - 1 holds v_r(k, n)/n!
                 want = table.counts[k][n] / bound
-                assert norm[n, k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert norm[n, k - 1] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_pmf_float_route_matches_exact_route() -> None:
@@ -353,21 +376,24 @@ def test_float_read_paths_are_guarded(monkeypatch, side, read) -> None:
     n, r = 30, 2
     monkeypatch.setattr(exact, "_TABLES", {})
     read(n, r)  # fills the store with the one table this path reads
-    ((key, (sizes, table)),) = exact._TABLES.items()
+    ((key, (held, table)),) = exact._TABLES.items()
     doctored = table.copy()
-    # one mass entry < 0: P{2nd largest <= 0}, or the tail P{2nd smallest >= n-1}
-    doctored[n, 0 if side is L else n - r + 1] = -1e-6
-    monkeypatch.setitem(exact._TABLES, key, (sizes, doctored))
+    # one mass entry < 0: P{2nd largest <= 0}, or the tail P{2nd smallest > n-2}
+    doctored[n, 0 if side is L else n - r] = -1e-6
+    monkeypatch.setitem(exact._TABLES, key, (held, doctored))
     with pytest.raises(PrecisionError):
         read(n, r)
 
 
 @pytest.mark.parametrize("module, builder, read", [
-    (exact, "_build_chain", lambda n: exact.pmf_float(P, n, 2, L).probs),
-    (ktp, "_v_norm", lambda n: pmf_from_tables_float(2, n, S).probs),
-    (ktp, "_u_rows", lambda n: pmf_from_tables(1, n, L).probs),
-], ids=["chain", "v_norm", "exact-counts"])
+    (exact, "_build_chain", lambda n, r: exact.pmf_float(P, n, r, L).probs),
+    (ktp, "_v_norm", lambda n, r: pmf_from_tables_float(r, n, S).probs),
+    (ktp, "_u_rows", lambda n, r: pmf_from_tables(r, n, L).probs),
+    (ktp, "_v_rows", lambda n, r: pmf_from_tables(r, n, S).probs),
+], ids=["chain", "v_norm", "exact-counts", "exact-tail-counts"])
 def test_grown_tables_grow_by_five_quarters(monkeypatch, module, builder, read) -> None:
+    # one held size per table: thresholds that grow faster or slower than n
+    # (n - r + 1, n // r) must not regrow the table out of step with n
     build, sizes = getattr(module, builder), []
 
     def counted(*args):
@@ -375,13 +401,16 @@ def test_grown_tables_grow_by_five_quarters(monkeypatch, module, builder, read) 
         return build(*args)
 
     monkeypatch.setattr(module, builder, counted)
-    monkeypatch.setattr(exact, "_TABLES", {})
-    grown = [read(n) for n in range(1, 101)]
-    # an exact-size regrow would build 100 times
-    assert sizes == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63, 78, 97, 121]
-    for n in (1, 9, 50, 99, 100):
+    for r in (1, 2, 3, 4):
+        sizes.clear()
         monkeypatch.setattr(exact, "_TABLES", {})
-        assert read(n) == grown[n - 1], n  # bit for bit: no cell depends on the table size
+        grown = [read(n, r) for n in range(1, 101)]
+        # an exact-size regrow would build 100 times
+        assert sizes == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63, 78, 97,
+                         121], r
+        for n in (1, 9, 50, 99, 100):  # bit for bit: no cell depends on the table size
+            monkeypatch.setattr(exact, "_TABLES", {})
+            assert read(n, r) == grown[n - 1], (r, n)
 
 
 def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
@@ -437,14 +466,14 @@ def _column_major_v_norm(r, k_max, n_max):
 
 def test_v_norm_is_the_column_major_recursion_bit_for_bit() -> None:
     # the row-major, row-streamed builder must round every cell as the
-    # column-major one did: same operations, same order
+    # column-major one did: same operations, same order; its column t is
+    # the reference's k = t + 1, and the all-ones k = 0 is not built
     for r in (1, 2, 3, 4):
         for n_max in (1, 2, 5, 37, 200):
-            for k_max in {max(n_max - r + 2, 1), max(n_max // 3, 1), n_max + 4}:
-                got = ktp._v_norm(r, k_max, n_max).T
-                want = _column_major_v_norm(r, k_max, n_max)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (r, k_max, n_max)
+            got = ktp._v_norm(r, n_max).T
+            want = _column_major_v_norm(r, max(n_max - r + 2, 1), n_max)[1:]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (r, n_max)
 
 
 def test_smallest_cycle_median_thresholds() -> None:
