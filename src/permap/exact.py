@@ -60,19 +60,23 @@ results do not depend on call order.
 Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
 one grow rule; create none of your own state here.  A table builder is a
-pure function of its rank and n_max: it runs its lower ranks itself and
-never calls the store.  An object of size <= n has at most n components,
-so a rank past n + 1 changes no digest: the chain and ktp's exact counts
-run at most n_max + 1 ranks, and the window recursion keeps at most n + 1
-entries.
+pure function of its rank, n_max and an optional rank r-1 table of its own
+builder, held at a size >= n_max: it runs ranks 1..r from the all-zero
+rank 0, or rank r alone from that table, and never calls the store; the
+store passes the table when it holds one (_stored).  An object of size
+<= n has at most n components, so a rank past n + 1 changes no digest:
+the chain and ktp's exact counts run at most n_max + 1 ranks, and the
+window recursion keeps at most n + 1 entries.
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
 largest possible digest: a component is small when its size is <= t,
 and cell t holds P{digest <= t} on the largest side and P{digest > t} on
-the smallest.  A builder takes its rank arguments and n_max only, so one
-size fixes a stored table.  Row n of every table is read as a PMF by one
-differencing rule (_differences).
+the smallest.  A builder derives its thresholds from its rank and n_max,
+so one size fixes a stored table.  Row n of every table is read as a PMF
+by one differencing rule (_differences); a float table is first read by
+one rule (_row_pmf): row n divided by its scale tau_n, less its own cell
+at the top threshold on the smallest side.
 """
 
 from __future__ import annotations
@@ -268,12 +272,17 @@ def support_length(n: int, r: int, side: Side) -> int:
     return top_threshold(n, r, side) + 1
 
 
+def _check_rank(r: int, what: str) -> None:
+    """Refuse a rank below 1, and a bool: True would be served, and stored, as rank 1."""
+    if isinstance(r, bool) or r < 1:
+        raise ValueError(f"{what} requires an int rank r >= 1, got {r!r}")
+
+
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact distribution of the r-th ranked component size, as Fractions."""
+    _check_rank(r, "pmf")
     if n < 1:
         raise ValueError("pmf requires n >= 1")
-    if r < 1:
-        raise ValueError("pmf requires r >= 1")
     slots = min(r, n + 1)  # at most n components: a wider window keeps the digest 0
     if side is Side.LARGEST:
         coeffs = largest_poly(kind, n, (0,) * slots).coeffs
@@ -302,20 +311,27 @@ def clear_memo() -> None:
 _MASS_TOL = 1e-9
 
 
-def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray:
-    """Top level of the chain as a table[m, t], sizes m = 0..n_max.
+def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
+                 lower: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw top level of the chain as a table[m, t], sizes m = 0..n_max, and tau.
 
     Both sides count the components that are large against threshold t,
     for t = 0..top_threshold(n_max, r, side): the largest side those of
     size > t, the smallest side those of size <= t.  Level c = 0..r-1 holds
-    P{an m-object has at most c counted components}.  On the largest side
-    row n of the top level r-1 is P{r-th largest <= t} at n.  On the
-    smallest side it is P{fewer than r components of size <= t};
-    subtracting P{fewer than r components}, which is row m's own value at
-    t = top_threshold(m, r, side), leaves P{r-th smallest > t}, with the
+    tau_m P{an m-object has at most c counted components}, and the top
+    level r-1 is returned as it is, scaled by tau and with nothing
+    subtracted, so that it can start the rank r+1 build.  Its row n read by
+    _row_pmf, divided by tau_n, is P{r-th largest <= t} on the largest
+    side; on the smallest side it is P{fewer than r components of size
+    <= t}, and subtracting P{fewer than r components}, the row's own value
+    at t = top_threshold(n, r, side), leaves P{r-th smallest > t}, with the
     fewer-than-r-components digest 0.  Levels past n_max, where every
     m-object has at most c components, change no cell, so at most n_max + 1
-    levels run.
+    levels run.  lower, the (table, tau) of a rank r-1 build at a size
+    >= n_max, holds level min(r-1, n_max+1) - 1 on rows <= n_max and
+    columns <= this table's last; the levels from there on are run from it
+    instead of from the all-zero level -1, with the same bits, since no
+    cell depends on the table's size.
 
     A new component of size j <= t leads to the same level on the largest
     side and to level c-1 on the smallest; a larger one the other way
@@ -331,6 +347,11 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
     width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
     levels = min(r, rows)
     q, tau = exp_log_weights(kind, n_max)
+    done = 0  # levels run so far
+    if lower is not None:
+        done, held = min(r - 1, rows), lower[0][:rows, :width]
+        if done == levels:  # it ran them all: its top level is this one
+            return held.copy(), tau
     uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
     if uniform:
         out = np.empty((rows, width))
@@ -343,7 +364,12 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
     level = np.zeros(shape)  # level -1 is identically zero
-    for c in range(levels):
+    if lower is not None:  # level done - 1, read only; the uniform step wants prefix sums
+        if uniform:
+            np.cumsum(held, axis=0, out=level[1:])
+        else:
+            level = held
+    for c in range(done, levels):
         prev, level = level, np.zeros(shape)
         low, high = (level, prev) if largest else (prev, level)
         if uniform:
@@ -370,11 +396,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int) -> np.ndarray
                 block *= q[1 : m + 1, None]
                 np.sum(block, axis=0, out=level[m])  # row by row: the same order at any width
                 level[m] /= m
-    top = out if uniform else level
-    top /= tau[:, None]
-    if not largest:
-        top -= top[range(rows), [top_threshold(m, r, side) for m in range(rows)]][:, None]
-    return top
+    return (out if uniform else level), tau
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +406,28 @@ _TABLES: dict[tuple, tuple[int, object]] = {}
 
 
 def _stored(build, args: tuple, n: int):
-    """build(*args, n_max), kept per (build, args) and reused while big enough.
+    """build(*args, n_max, lower), kept per (build, args) and reused while big enough.
 
-    n is the largest size a request reads.  Every table's thresholds are
-    derived from its rank and n_max (top_threshold), so one held size
-    fixes the whole table.  A stored table held at a size below n is
-    rebuilt at n_max = max(n, 5/4 of held), so requests for n = 1..N in
-    ascending order cost O(log N) builds.  The store holds tables and
-    computes nothing, and build never calls it: a builder runs its lower
-    ranks itself, at most n_max + 1 of them where ranks are unbounded, so
-    every build is one call whose size is known up front.
+    n is the largest size a request reads, and args end with the rank r.
+    Every table's thresholds are derived from its rank and n_max
+    (top_threshold), so one held size fixes the whole table.  A stored
+    table held at a size below n is rebuilt at n_max = max(n, 5/4 of held),
+    so requests for n = 1..N in ascending order cost O(log N) builds.  When
+    the store holds the same builder's rank r-1 table at a size >= n_max,
+    it passes that table as lower, and the build runs rank r alone from it;
+    otherwise lower is None, and the build runs ranks 1..r from the
+    all-zero rank 0.  The cells are the same either way, so a rank sweep
+    r = 2, 3, 4 builds each rank once, and no table is kept beyond one per
+    key.  The store holds tables and computes nothing, and build never
+    calls it, so every build is one call whose size is known up front.
     """
     key = (build, *args)
     held, table = _TABLES.get(key, (-1, None))  # -1: nothing held
     if n <= held:
         return table
     n = max(n, held * 5 // 4)
-    table = build(*args, n)
+    lower_held, lower = _TABLES.get((build, *args[:-1], args[-1] - 1), (-1, None))
+    table = build(*args, n, lower if lower_held >= n else None)
     _TABLES[key] = (n, table)
     return table
 
@@ -419,15 +446,20 @@ def _differences(row: Sequence, total, side: Side) -> list:
     return [total - row[0]] + [row[t - 1] - row[t] for t in range(1, len(row))]
 
 
-def _row_pmf(table: np.ndarray, n: int, r: int, side: Side) -> np.ndarray:
+def _row_pmf(table: np.ndarray, n: int, r: int, side: Side, tau: float) -> np.ndarray:
     """Guarded PMF of the r-th ranked size at n, from row n of a float table[n, t].
 
-    Rounding-level values outside [0, 1] are clipped into it; a value
-    further out, or a mass sum off 1 by more than the tolerance, raises
-    PrecisionError.
+    Row n holds tau times its probabilities: the chain's raw top level with
+    its tau_n, a table of probabilities with 1.0.  On the smallest side the
+    row's own cell at the top threshold, P{fewer than r components} (0.0
+    in a table of tails), is subtracted from every cell.  Rounding-level
+    values outside [0, 1] are clipped into it; a value further out, or a
+    mass sum off 1 by more than the tolerance, raises PrecisionError.
     """
-    row = table[n, : top_threshold(n, r, side) + 1].tolist()
-    probs = np.array(_differences(row, 1.0, side))
+    row = table[n, : top_threshold(n, r, side) + 1] / tau
+    if side is Side.SMALLEST:
+        row -= row[-1]
+    probs = np.array(_differences(row.tolist(), 1.0, side))
     if probs.min() < -_MASS_TOL or probs.max() > 1.0 + _MASS_TOL:
         raise PrecisionError(f"probability {probs.min()!r}..{probs.max()!r} from differencing")
     np.clip(probs, 0.0, 1.0, out=probs)
@@ -445,9 +477,9 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     1e-9.  Feasible far beyond the exact engine (mappings into the high
     hundreds, permutations into the thousands, in seconds).
     """
+    _check_rank(r, "pmf_float")
     if n < 1:
         raise ValueError("pmf_float requires n >= 1")
-    if r < 1:
-        raise ValueError("pmf_float requires r >= 1")
-    probs = _row_pmf(_stored(_build_chain, (kind, side, r), n), n, r, side)
+    top, tau = _stored(_build_chain, (kind, side, r), n)
+    probs = _row_pmf(top, n, r, side, tau[n])
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

@@ -36,11 +36,13 @@ sums, one contiguous row per size n, whose step reads one anti-diagonal of
 the prefix sums as a strided view; it keeps a full value table for the
 requested rank only, and returns it as [n, t].
 
-Every builder here takes its rank and n_max only, runs ranks 1..r itself
-from the all-zero rank 0 and never calls the store; every table, exact or
-float, lives in exact's one store and grows by its one rule, and row n of
-each is read by exact's one differencing rule, as Fractions over n! or as
-a guarded float PMF.
+Every builder here takes its rank, n_max and an optional rank r-1 table
+of its own, held at a size >= n_max: it runs ranks 1..r from the all-zero
+rank 0, or rank r alone from that table, and never calls the store, which
+passes the table when it holds one.  Every table, exact or float, lives in
+exact's one store and grows by its one rule, and row n of each is read by
+exact's one differencing rule, as Fractions over n! or as a guarded float
+PMF.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _delta(r: int, k: int, n: int, fact: int) -> int:
 # ---------------------------------------------------------------------------
 # exact tables
 
-def _u_rows(r: int, n_max: int) -> list[list[int]]:
+def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     """u_r by columns k = 0..n_max // r, the top threshold.
 
     u_0 = 0 and F(n, m) = (n-1)!/(n-1-m)! (0 for m >= n).  As (n-1)
@@ -158,15 +160,17 @@ def _u_rows(r: int, n_max: int) -> list[list[int]]:
     sum_{m<k} F(n, m) u_r(k, n-1-m) + sum_{k<=m<n} F(n, m) u_{r-1}(k, n-1-m)
     with each m raised by one; the difference telescopes to
     u_r(k, n) = n u_r(k, n-1) - F(n, k) [u_r(k, n-1-k) - u_{r-1}(k, n-1-k)].
-    Each column runs ranks 1..r in turn; an n-permutation has at most n
-    cycles, so ranks past n_max + 1 (every cell n!) are not run.
+    Each column runs ranks 1..r in turn, from u_0 or from column k of
+    lower, a rank r-1 table held at a size >= n_max; an n-permutation has
+    at most n cycles, so ranks past n_max + 1 (every cell n!) are not run.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
+    done = 0 if lower is None else min(r - 1, n_max + 1)  # ranks the held table ran
     rows = []
     for k in range(top_threshold(n_max, r, Side.LARGEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
-        row = [0] * (n_max + 1)
-        for _ in range(min(r, n_max + 1)):
+        row = [0] * (n_max + 1) if lower is None else lower[k][: n_max + 1]
+        for _ in range(done, min(r, n_max + 1)):
             low, row = row, [1] + [0] * n_max
             for n in range(1, n_max + 1):
                 row[n] = n * row[n - 1]
@@ -176,7 +180,7 @@ def _u_rows(r: int, n_max: int) -> list[list[int]]:
     return rows
 
 
-def _v_rows(r: int, n_max: int) -> list[list[int]]:
+def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     """v_r by columns t = 0..max(n_max-r+1, 0): column t holds v_r(t+1, n).
 
     v_0 = delta_1 = 0 and F is as in _u_rows.  The defining sum v_r(k, n) =
@@ -186,14 +190,16 @@ def _v_rows(r: int, n_max: int) -> list[list[int]]:
     _u_rows; s starts at n = k + r - 1 from 0 because at n = k + r - 2
     every term of the sum vanishes: delta_r is (n-1)! e_{r-1} of r - 2
     reciprocals, and each table read is a zero cell.  Each column runs
-    ranks q = 1..r in turn.  The column k = 0, v_r(0, n) = n!, is not held.
+    ranks q = 1..r in turn, or rank r alone from column t of lower, a rank
+    r-1 table held at a size >= n_max.  The column k = 0, v_r(0, n) = n!,
+    is not held.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
     rows = []
     for t in range(top_threshold(n_max, r, Side.SMALLEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - t] if n > t else 0 for n in range(n_max + 1)]
-        row = [0] * (n_max + 1)
-        for q in range(1, r + 1):
+        row = [0] * (n_max + 1) if lower is None else lower[t][: n_max + 1]
+        for q in range(1 if lower is None else r, r + 1):
             low, row = row, [1 if q == 1 else 0] + [0] * n_max
             s = 0
             for n in range(t + q, n_max + 1):
@@ -206,21 +212,20 @@ def _v_rows(r: int, n_max: int) -> list[list[int]]:
 def _stored_rows(build, r: int, first: int, k_max: int, n_max: int) -> tuple:
     """Rows k = first..k_max, n = 0..n_max of a public table: stored column k - first.
 
-    Past the stored table's last column, row k reads that last column (see
-    the callers for why it holds every later one).  A bool rank and
-    negative sizes are refused before the store is touched.
+    Past the stored table's last column, row k is that last column, one
+    tuple repeated by reference (see the callers for why it holds every
+    later one).  Negative sizes are refused before the store is touched.
     """
-    if isinstance(r, bool) or min(k_max, n_max) < 0:
-        raise ValueError(f"bad table request: rank {r!r}, k_max {k_max}, n_max {n_max}")
-    rows = exact._stored(build, (r,), n_max)
-    return tuple(tuple(rows[min(k - first, len(rows) - 1)][: n_max + 1])
-                 for k in range(first, k_max + 1))
+    if min(k_max, n_max) < 0:
+        raise ValueError(f"bad table request: k_max {k_max}, n_max {n_max}")
+    count = k_max - first + 1
+    columns = [tuple(row[: n_max + 1]) for row in exact._stored(build, (r,), n_max)[:count]]
+    return tuple(columns + columns[-1:] * (count - len(columns)))
 
 
 def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """Exact counts of n-permutations whose r-th longest cycle is <= k."""
-    if r < 1:
-        raise ValueError("rank must be >= 1")
+    exact._check_rank(r, "longest_table")
     # the last column, k = held n // r >= n_max // r, counts all n! at every
     # n <= n_max: r cycles longer than n // r do not fit
     counts = _stored_rows(_u_rows, r, 0, k_max, n_max)
@@ -234,7 +239,8 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     ranks 2..4.  Row k = 0 counts all n! permutations and is not stored;
     row k >= 1 is the stored column t = k - 1.
     """
-    if r < 1 or r > _MAX_RANK:
+    exact._check_rank(r, "shortest_table")
+    if r > _MAX_RANK:
         raise ValueError(f"rank must be in 1..{_MAX_RANK}")
     # the last column, t = max(held n - r + 1, 0), is 0 at every n >= 1: no
     # n-permutation has an r-th shortest cycle longer than n - r + 1 <= t, and
@@ -247,8 +253,9 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
 def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
-    if n < 1 or r < 1:
-        raise ValueError("pmf_from_tables requires n >= 1 and r >= 1")
+    exact._check_rank(r, "pmf_from_tables")
+    if n < 1:
+        raise ValueError("pmf_from_tables requires n >= 1")
     if side is Side.SMALLEST and r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
@@ -269,7 +276,7 @@ def _harmonic_float(n_max: int, power: int) -> np.ndarray:
     return out
 
 
-def _v_norm(r: int, n_max: int) -> np.ndarray:
+def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     """The conjectural shortest-side recursion on counts normalised by n!.
 
     Returns the row-major table z[n, t], t = 0..max(n_max-r+1, 0), whose
@@ -282,7 +289,10 @@ def _v_norm(r: int, n_max: int) -> np.ndarray:
     are the only full table.  The correction D_q[k, n] = delta(q, k, n)/n!
     is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so
     e_1..e_3 are built once from the harmonic sums and row n of D_q is a
-    reversed slice of one of them; no D table is held.
+    reversed slice of one of them; no D table is held.  Ranks run from
+    q = 1, or rank r alone from the prefix sums of lower, a rank r-1 table
+    held at a size >= n_max, whose rows and columns up to this table's are
+    the bits the ranks below r would give.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
@@ -291,7 +301,11 @@ def _v_norm(r: int, n_max: int) -> np.ndarray:
     stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
     cum_prev = prev_flat = None
-    for q in range(1, r + 1):
+    if lower is not None:
+        cum_prev = np.zeros((n_max + 2, width))
+        np.cumsum(lower[: n_max + 1, :width], axis=0, out=cum_prev[1:])
+        prev_flat = cum_prev.reshape(-1)
+    for q in range(1 if lower is None else r, r + 1):
         cum = np.zeros((n_max + 2, width))
         cum[1] = 1.0 if q == 1 else 0.0
         flat = cum.reshape(-1)
@@ -323,12 +337,13 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     side runs the conjectural recursion.  Both raise PrecisionError when
     the mass-sum or probability-range check fails.
     """
-    if n < 1 or r < 1:
-        raise ValueError("pmf_from_tables_float requires n >= 1 and r >= 1")
+    exact._check_rank(r, "pmf_from_tables_float")
+    if n < 1:
+        raise ValueError("pmf_from_tables_float requires n >= 1")
     if side is Side.LARGEST:
         return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
     if r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     table = exact._stored(_v_norm, (r,), n)
-    probs = exact._row_pmf(table, n, r, side).tolist()
+    probs = exact._row_pmf(table, n, r, side, 1.0).tolist()
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(probs), conjectural=r > 1)

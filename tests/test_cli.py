@@ -137,23 +137,48 @@ def test_table_sweep_rows_match_one_size_calls(capsys, monkeypatch, kind, engine
         assert got == want  # a cell never depends on the table size
 
 
+def _recorded_builds(monkeypatch) -> dict[str, list]:
+    # (rank, n_max, started from a rank r-1 table) of every chain and
+    # v_norm build, each argument read by its position
+    builds = {"chain": [], "v_norm": []}
+    for module, name, key, rank in ((exact, "_build_chain", "chain", 2),
+                                    (ktp, "_v_norm", "v_norm", 0)):
+        def counted(*args, build=getattr(module, name), key=key, rank=rank):
+            builds[key].append((args[rank], args[rank + 1], args[rank + 2] is not None))
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return builds
+
+
 @pytest.mark.parametrize("kind, engine, builds", [("permute", "ktp-float", (1, 1)),
                                                   ("permute", "exact-float", (2, 0)),
                                                   ("mapping", "exact-float", (2, 0))])
 def test_table_sweep_builds_once_per_side_and_rank(capsys, monkeypatch, kind, engine,
                                                    builds) -> None:
     _fresh_float_tables(monkeypatch)
-    counts = {"chain": 0, "v_norm": 0}
-    for module, name, count in ((exact, "_build_chain", "chain"), (ktp, "_v_norm", "v_norm")):
-        def counted(*args, build=getattr(module, name), count=count):
-            counts[count] += 1
-            return build(*args)
-
-        monkeypatch.setattr(module, name, counted)
+    recorded = _recorded_builds(monkeypatch)
     code, _, _ = run(capsys, "table", "--kind", kind, "--rank", "2",
                      "--n", "25,50,75,100", "--engine", engine, "--format", "csv")
     assert code == 0
-    assert (counts["chain"], counts["v_norm"]) == builds
+    assert (len(recorded["chain"]), len(recorded["v_norm"])) == builds
+    assert all(n_max == 100 for _, n_max, _ in recorded["chain"] + recorded["v_norm"])
+
+
+def test_rank_sweep_starts_each_build_from_the_rank_below(capsys, monkeypatch) -> None:
+    # the paper's r = 2, 3, 4 columns at one n: the second and third ranks
+    # start from the table the store holds for the rank below, and a rank
+    # below held at a smaller n is not used
+    _fresh_float_tables(monkeypatch)
+    recorded = _recorded_builds(monkeypatch)
+    for rank, n in (("2", "40"), ("3", "40"), ("4", "40"), ("2", "60"), ("4", "80")):
+        code, _, _ = run(capsys, "table", "--kind", "permute", "--rank", rank, "--n", n,
+                         "--engine", "ktp-float", "--format", "csv")
+        assert code == 0
+    # the largest side reads the chain, the smallest side v_norm
+    for key in ("chain", "v_norm"):
+        assert recorded[key] == [(2, 40, False), (3, 40, True), (4, 40, True),
+                                 (2, 60, False), (4, 80, False)], key
 
 
 def test_table_json_flags_conjectural_columns(capsys) -> None:

@@ -286,13 +286,15 @@ def test_pmf_float_probabilities_lie_in_the_unit_interval() -> None:
 
 def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
     # each cell sums over the new component's size in one fixed order, so
-    # row n of a table built for a larger n_max holds a one-size build's bits
+    # row n of a table built for a larger n_max holds a one-size build's
+    # bits, and so does its scale tau_n: the read of row n is the same
     for side in (L, S):
         for r in (1, 2, 3, 4):
-            grown = _build_chain(M, side, r, 160)
+            grown, grown_tau = _build_chain(M, side, r, 160)
             for n in range(1, 161):
-                alone = _build_chain(M, side, r, n)
+                alone, tau = _build_chain(M, side, r, n)
                 assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
+                assert grown_tau[n] == tau[n], (side, r, n)
 
 
 def test_permutation_chain_rows_do_not_depend_on_the_table_width() -> None:
@@ -300,15 +302,18 @@ def test_permutation_chain_rows_do_not_depend_on_the_table_width() -> None:
     # off by one would make row n depend on the table width
     for side in (L, S):
         for r in (1, 2, 3, 4):
-            grown = _build_chain(P, side, r, 160)
+            grown, grown_tau = _build_chain(P, side, r, 160)
             for n in range(1, 161):
-                alone = _build_chain(P, side, r, n)
+                alone, tau = _build_chain(P, side, r, n)
                 assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
+                assert grown_tau[n] == tau[n] == 1.0, (side, r, n)
 
 
-def _gather_chain(side, r, n_max):
+def _gather_chain(side, r, n_max, tails):
     # the permutation chain with every prefix-sum read as a fancy gather
-    # through an index array: the reference for the strided-view reads
+    # through an index array: the reference for the strided-view reads.
+    # Its top level is raw, or with tails the smallest side less each row's
+    # P{fewer than r cycles}, the reference for the read rule
     largest = side is L
     k_max = n_max // r if largest else max(n_max - r + 2, 1)
     ks = np.arange(k_max + 1)
@@ -331,29 +336,43 @@ def _gather_chain(side, r, n_max):
             np.add(level[m], col, out=level[m + 1])
             if c == r - 1:
                 out[m] = col
-    if not largest:
+    if tails and not largest:
         sizes = np.arange(rows)
         out -= out[sizes, np.maximum(sizes - r + 2, 1)][:, None]
     return out
 
 
-def _gathered(side, r, n_max):
+def _gathered(side, r, n_max, tails=False):
     # the gathered chain on the built table's thresholds: the smallest side's
     # column k is threshold t = k - 1, and its column k = 0 is not built
-    want = _gather_chain(side, r, n_max)
+    want = _gather_chain(side, r, n_max, tails)
     return want if side is L else want[:, 1:]
+
+
+def _gathered_pmf(cells, side):
+    # the digest's PMF from CDF cells (largest side) or tail cells (smallest)
+    steps = np.diff(cells)
+    first = cells[0] if side is L else 1.0 - cells[0]
+    return np.clip(np.concatenate(([first], steps if side is L else -steps)), 0.0, 1.0)
 
 
 def test_permutation_chain_is_the_gathered_chain_bit_for_bit() -> None:
     # widths 1 and 2 and thresholds past m: the strided reads must round
-    # every cell as the gathers did
+    # every cell as the gathers did, and the read rule must give the
+    # gathered tails' PMF
     for side in (L, S):
         for r in (1, 2, 3, 4):
             for n_max in (1, 2, 3, 5, 37, 200):
-                got = _build_chain(P, side, r, n_max)
+                got, tau = _build_chain(P, side, r, n_max)
                 want = _gathered(side, r, n_max)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (side, r, n_max)
+                assert np.array_equal(tau, np.ones(n_max + 1))
+                tails = _gathered(side, r, n_max, tails=True)
+                for n in range(1, n_max + 1):
+                    read = exact._row_pmf(got, n, r, side, tau[n])
+                    want_pmf = _gathered_pmf(tails[n, : support_length(n, r, side)], side)
+                    assert np.array_equal(read, want_pmf), (side, r, n_max, n)
 
 
 def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
@@ -362,11 +381,33 @@ def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
     for kind in (P, M):
         for side in (L, S):
             for n_max in (1, 2, 3, 5, 17, 40, 120):
-                want = _build_chain(kind, side, n_max + 1, n_max)
+                want, want_tau = _build_chain(kind, side, n_max + 1, n_max)
                 for r in (n_max + 2, n_max + 5, 3 * n_max + 7):
-                    assert np.array_equal(_build_chain(kind, side, r, n_max), want), (r, n_max)
+                    got, tau = _build_chain(kind, side, r, n_max)
+                    assert np.array_equal(got, want), (r, n_max)
+                    assert np.array_equal(tau, want_tau), (r, n_max)
                     if kind is P and r == n_max + 2:
                         assert np.array_equal(_gathered(side, r, n_max), want), (r, n_max)
+
+
+def test_chain_from_the_rank_below_is_the_cold_chain_bit_for_bit() -> None:
+    # the rank r-1 table of a larger, taller and wider build starts the
+    # rank r build at its top level; every cell and tau_n must keep the
+    # bits of the build from the all-zero rank 0, the held table must not
+    # change, and past r - 1 >= n_max + 1 the held table is the answer
+    for kind in (P, M):
+        for side in (L, S):
+            for n_max in (1, 2, 3, 5, 37, 200):
+                for r in (2, 3, 4, 5, 6):
+                    lower = _build_chain(kind, side, r - 1, n_max * 5 // 4 + 2)
+                    held = lower[0].copy()
+                    cold, cold_tau = _build_chain(kind, side, r, n_max)
+                    warm, warm_tau = _build_chain(kind, side, r, n_max, lower)
+                    assert warm.shape == cold.shape, (kind, side, n_max, r)
+                    assert np.array_equal(warm, cold), (kind, side, n_max, r)
+                    assert np.array_equal(warm_tau, cold_tau), (kind, side, n_max, r)
+                    assert np.array_equal(lower[0], held), (kind, side, n_max, r)
+                    assert not np.shares_memory(warm, lower[0]), (kind, side, n_max, r)
 
 
 def test_precision_error_is_arithmetic_error() -> None:

@@ -305,9 +305,41 @@ def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, arg
         table(*args)
 
 
+@pytest.mark.parametrize("read", [
+    lambda r: exact.pmf(P, 3, r, L),
+    lambda r: exact.pmf_float(M, 3, r, S),
+    lambda r: pmf_from_tables(r, 3, L),
+    lambda r: pmf_from_tables_float(r, 3, L),
+    lambda r: pmf_from_tables_float(r, 3, S),
+], ids=["exact", "exact-float", "ktp", "ktp-float-largest", "ktp-float-smallest"])
+def test_bool_ranks_are_refused_before_the_store(monkeypatch, read) -> None:
+    # the store reads rank r - 1 from a key, and True == 1: a bool rank
+    # would be served, and held, as rank 1
+    def refuse(*args):
+        raise AssertionError("a refused request reached the store")
+
+    monkeypatch.setattr(exact, "_stored", refuse)
+    for r in (True, False, 0, -1):
+        with pytest.raises(ValueError, match="rank"):
+            read(r)
+
+
+@pytest.mark.parametrize("table, last", [(longest_table, 5), (shortest_table, 10)])
+def test_rows_past_the_stored_columns_are_one_object(monkeypatch, table, last) -> None:
+    # past the stored table's last column every row is that column, built
+    # into a tuple once; k_max far past n_max costs one reference per row
+    monkeypatch.setattr(exact, "_TABLES", {})
+    counts = table(2, 100_000, 10).counts
+    assert len(counts) == 100_001
+    assert all(row is counts[last] for row in counts[last:])
+    assert len({id(row) for row in counts}) == last + 1
+    assert counts[: last + 1] == table(2, last, 10).counts
+
+
 def test_builders_never_call_the_store(monkeypatch) -> None:
-    # each builder is a pure function of its rank and n_max: it runs its
-    # lower ranks itself instead of reading them from the store
+    # each builder is a pure function of its rank, n_max and an optional
+    # rank r-1 table: it runs its ranks itself, from rank 0 or from that
+    # table, instead of reading them from the store
     monkeypatch.setattr(exact, "_TABLES", {})
     tables = {}
     for r in (1, 2, 3, 4):
@@ -322,10 +354,74 @@ def test_builders_never_call_the_store(monkeypatch) -> None:
         for side in (L, S):
             for kind in (P, M):
                 width = exact.top_threshold(12, r, side) + 1
-                assert exact._build_chain(kind, side, r, 12).shape == (13, width)
+                top, tau = exact._build_chain(kind, side, r, 12)
+                assert top.shape == (13, width) and tau.shape == (13,)
+                if r > 1:
+                    lower = exact._build_chain(kind, side, r - 1, 12)
+                    assert exact._build_chain(kind, side, r, 12, lower)[0].shape == (13, width)
         assert ktp._v_norm(r, 12).shape == (13, 14 - r)
         for name in ("_u_rows", "_v_rows"):
             assert getattr(ktp, name)(r, 12) == tables[name, r]
+            if r > 1:
+                assert getattr(ktp, name)(r, 12, tables[name, r - 1]) == tables[name, r]
+
+
+@pytest.mark.parametrize("name", ["_u_rows", "_v_rows", "_v_norm"])
+def test_builds_from_the_rank_below_are_cold_builds_bit_for_bit(name) -> None:
+    # the rank r-1 table of a larger, taller and wider build starts the
+    # rank r build; every cell must keep the bits of the build from the
+    # all-zero rank 0, including past r - 1 >= n_max + 1 (exact counts to
+    # rank 6; the shortest side's correction closed forms end at rank 4),
+    # and the held table must not change
+    build = getattr(ktp, name)
+    for n_max in (1, 2, 3, 5, 37, 200):
+        for r in range(2, 7 if name == "_u_rows" else 5):
+            lower = build(r - 1, n_max * 5 // 4 + 2)
+            held = [list(column) for column in lower] if name != "_v_norm" else lower.copy()
+            cold, warm = build(r, n_max), build(r, n_max, lower)
+            if name == "_v_norm":
+                assert warm.shape == cold.shape, (n_max, r)
+                assert np.array_equal(warm, cold), (n_max, r)
+                assert np.array_equal(lower, held), (n_max, r)
+            else:
+                assert warm == cold, (n_max, r)
+                assert lower == held, (n_max, r)
+
+
+def _route_pmfs(r, n):
+    # every float and exact PMF route of one rank at one size
+    out = {}
+    for side in (L, S):
+        out["chain-P", side] = exact.pmf_float(P, n, r, side).probs
+        out["chain-M", side] = exact.pmf_float(M, n, r, side).probs
+        out["ktp", side] = pmf_from_tables(r, n, side).probs
+        out["ktp-float", side] = pmf_from_tables_float(r, n, side).probs
+    return out
+
+
+def test_rank_order_does_not_move_a_bit(monkeypatch) -> None:
+    # ranks asked in ascending order start from the rank below, in
+    # descending order from rank 0, shuffled a mix of both; sizes asked
+    # in turn leave the rank below held smaller than asked at times.
+    # Every PMF keeps its bits
+    warm = []
+    for module, name in ((exact, "_build_chain"), (ktp, "_u_rows"), (ktp, "_v_rows"),
+                         (ktp, "_v_norm")):
+        def counted(*args, build=getattr(module, name)):
+            warm.append(args[-1] is not None)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    orders = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)]
+    results = []
+    for order in orders:
+        monkeypatch.setattr(exact, "_TABLES", {})
+        warm.clear()
+        results.append({(r, n): _route_pmfs(r, n) for n in (30, 1, 2, 5, 61, 44)
+                        for r in order})
+        assert any(warm) == (order != (4, 3, 2, 1)), order  # a smaller held rank is unused
+    for got in results[1:]:
+        assert got == results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +432,12 @@ def test_normalized_u_matches_exact() -> None:
     # the largest-side float table is the threshold chain's, [n, k] for k <= 40//r
     for r in (1, 2, 3, 4):
         table = longest_table(r, 20, 40)
-        norm = exact._build_chain(P, L, r, 40)
+        top, tau = exact._build_chain(P, L, r, 40)  # the raw level, scaled by tau
         for n in (1, 7, 23, 40):
             bound = math.factorial(n)
             for k in range(0, min(20, 40 // r) + 1):
                 want = table.counts[k][n] / bound
-                assert norm[n, k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert top[n, k] / tau[n] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_normalized_v_matches_exact() -> None:
@@ -376,11 +472,15 @@ def test_float_read_paths_are_guarded(monkeypatch, side, read) -> None:
     n, r = 30, 2
     monkeypatch.setattr(exact, "_TABLES", {})
     read(n, r)  # fills the store with the one table this path reads
-    ((key, (held, table)),) = exact._TABLES.items()
+    ((key, (held, value)),) = exact._TABLES.items()
+    chain = isinstance(value, tuple)  # the chain's raw level and its tau
+    table, tau = value if chain else (value, np.ones(n + 1))
     doctored = table.copy()
-    # one mass entry < 0: P{2nd largest <= 0}, or the tail P{2nd smallest > n-2}
-    doctored[n, 0 if side is L else n - r] = -1e-6
-    monkeypatch.setitem(exact._TABLES, key, (held, doctored))
+    # one mass entry < 0 once read: P{2nd largest <= 0}, or the tail
+    # P{2nd smallest > n-2}, the raw cell less the row's top cell, over tau_n
+    t = 0 if side is L else n - r
+    doctored[n, t] = -1e-6 * tau[n] + (0.0 if side is L else table[n, t + 1])
+    monkeypatch.setitem(exact._TABLES, key, (held, (doctored, tau) if chain else doctored))
     with pytest.raises(PrecisionError):
         read(n, r)
 
@@ -395,9 +495,10 @@ def test_grown_tables_grow_by_five_quarters(monkeypatch, module, builder, read) 
     # one held size per table: thresholds that grow faster or slower than n
     # (n - r + 1, n // r) must not regrow the table out of step with n
     build, sizes = getattr(module, builder), []
+    position = 3 if builder == "_build_chain" else 1  # n_max, after (kind, side, r) or (r,)
 
     def counted(*args):
-        sizes.append(args[-1])
+        sizes.append(args[position])
         return build(*args)
 
     monkeypatch.setattr(module, builder, counted)
