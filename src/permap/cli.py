@@ -7,6 +7,11 @@ Three subcommands:
     constants  every limit constant with achieved-error estimates
     verify     cross-engine verification suites, machine-readable report
 
+Engines (table --engine): exact-float, the default, is the one
+production engine.  ktp-float checks the conjectural shortest-side
+recursion against it: its largest side is exact-float itself.  exact,
+ktp and oracle are verification routes.
+
 Output formats: text (display rounding: means/variances to 6 decimals,
 scaled medians/modes to 4), csv (full precision, fixed ASCII header
 names), json (full precision, keyed identically to the csv header; the
@@ -320,7 +325,8 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--n", type=_int_list, required=True,
                        metavar="N1,N2,...", help="comma-separated sizes")
     table.add_argument("--engine", choices=_ENGINES, default="exact-float", help=(
-        "production engines: exact-float, ktp-float; verification routes: exact, ktp, oracle"))
+        "production engine: exact-float; conjecture check: ktp-float; "
+        "verification routes: exact, ktp, oracle"))
     table.add_argument("--format", choices=["text", "csv", "json"], default="text")
     table.add_argument("--digits", type=_digits, default=6)
     table.add_argument("--output", metavar="PATH")

@@ -81,6 +81,7 @@ at the top threshold on the smallest side.
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -109,16 +110,6 @@ class RowPolynomial:
     coeffs: tuple[int, ...]
     n: int
     side: Side
-
-
-def promote(ranks: Sequence[RankEntry], j: int) -> tuple[RankEntry, ...]:
-    """Insert size j into the window, keep the r largest entries."""
-    return tuple(sorted(tuple(ranks) + (j,))[1:])
-
-
-def demote(ranks: Sequence[RankEntry], j: int) -> tuple[RankEntry, ...]:
-    """Insert size j into the window, keep the r smallest entries."""
-    return tuple(sorted(tuple(ranks) + (j,))[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +213,7 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
+    n = operator.index(n)  # the big-integer recursion must not run on numpy ints
     if n < 0:
         raise ValueError("n must be >= 0")
     window = tuple(sorted(ranks))
@@ -272,17 +264,21 @@ def support_length(n: int, r: int, side: Side) -> int:
     return top_threshold(n, r, side) + 1
 
 
-def _check_rank(r: int, what: str) -> None:
-    """Refuse a rank below 1, and a bool: True would be served, and stored, as rank 1."""
-    if isinstance(r, bool) or r < 1:
-        raise ValueError(f"{what} requires an int rank r >= 1, got {r!r}")
+def _check_rank(r: int, what: str, n: int = 1) -> None:
+    """Refuse a rank r or a size n below 1, and a bool for either.
+
+    True == 1: a bool would be served, and stored, as rank or size 1, and
+    numpy reads table[True] as a mask.  ktp's public tables pass no n:
+    their n_max may be 0.
+    """
+    for name, value in (("rank r", r), ("size n", n)):
+        if isinstance(value, bool) or value < 1:
+            raise ValueError(f"{what} requires an int {name} >= 1, got {value!r}")
 
 
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact distribution of the r-th ranked component size, as Fractions."""
-    _check_rank(r, "pmf")
-    if n < 1:
-        raise ValueError("pmf requires n >= 1")
+    _check_rank(r, "pmf", n)
     slots = min(r, n + 1)  # at most n components: a wider window keeps the digest 0
     if side is Side.LARGEST:
         coeffs = largest_poly(kind, n, (0,) * slots).coeffs
@@ -477,9 +473,7 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     1e-9.  Feasible far beyond the exact engine (mappings into the high
     hundreds, permutations into the thousands, in seconds).
     """
-    _check_rank(r, "pmf_float")
-    if n < 1:
-        raise ValueError("pmf_float requires n >= 1")
+    _check_rank(r, "pmf_float", n)
     top, tau = _stored(_build_chain, (kind, side, r), n)
     probs = _row_pmf(top, n, r, side, tau[n])
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

@@ -26,6 +26,7 @@ tau_m = m^m e^-m/m!.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from functools import lru_cache
 
@@ -51,6 +52,7 @@ def connected_count(kind: ObjectKind, n: int) -> int:
 
     n must be >= 1: there is no empty connected object.
     """
+    n = operator.index(n)  # numpy ints overflow here, and would be cached as n
     if n < 1:
         raise ValueError(f"connected_count requires n >= 1, got {n}")
     if kind is ObjectKind.PERMUTATION:
@@ -66,35 +68,12 @@ def connected_count(kind: ObjectKind, n: int) -> int:
 @lru_cache(maxsize=None)
 def total_count(kind: ObjectKind, n: int) -> int:
     """Total number of objects of the given kind on n labelled nodes (t_0 = 1)."""
+    n = operator.index(n)  # as in connected_count
     if n < 0:
         raise ValueError(f"total_count requires n >= 0, got {n}")
     if kind is ObjectKind.PERMUTATION:
         return math.factorial(n)
     return n**n if n > 0 else 1  # 0^0 = 1: the empty mapping
-
-
-def first_component_split(kind: ObjectKind, n: int) -> tuple[float, ...]:
-    """Probabilities that the component containing the lowest label has size j.
-
-    Entry j-1 of the returned tuple is
-        P_n(j) = c_j * C(n-1, j-1) * t_{n-j} / t_n,   j = 1..n,
-    the exact ratio rounded once to float.  These sum to 1: conditioning on
-    the component of the lowest label decomposes every object uniquely.
-    For permutations P_n(j) = 1/n for every j.
-    """
-    if n < 1:
-        raise ValueError(f"first_component_split requires n >= 1, got {n}")
-    if kind is ObjectKind.PERMUTATION:
-        return tuple([1.0 / n] * n)
-    den = total_count(kind, n)
-    probs = []
-    binom = 1  # C(n-1, j-1), advanced one j at a time
-    for j in range(1, n + 1):
-        num = connected_count(kind, j) * binom * total_count(kind, n - j)
-        # float(Fraction) would gcd-reduce huge integers; shift-divide instead
-        probs.append(math.ldexp((num << 64) // den, -64))
-        binom = binom * (n - j) // j
-    return tuple(probs)
 
 
 def exp_log_weights(kind: ObjectKind, m_max: int) -> tuple[np.ndarray, np.ndarray]:

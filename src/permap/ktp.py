@@ -22,19 +22,21 @@ routes evaluate the correction in closed form, (n-1)! e_{r-1}(1, 1/2, ...,
 1/(n-k)), which explains why it is the Stirling cycle number c(n, r) at
 k = 1 (see delta; the tests check that against c's own recurrence).
 
-The exact tables, a verification route, are built by the three-term
-recurrences that their defining sums telescope to (see _u_rows); adjacent
-differences of a column give the exact PMF of the r-th ranked cycle size,
-which must (and does, in tests) match the rank-window engine.  The float
-tables hold counts normalised by n!, where the falling-factorial weights
-collapse to 1/n and prefix sums make every cell O(1); n = 2500 tables
-build in seconds.  The longest-side float PMF is exact's threshold chain
+Every route here verifies exact.pmf_float, the one production engine.
+The exact tables are built by the three-term recurrences that their
+defining sums telescope to (see _u_rows); adjacent differences of a
+column give the exact PMF of the r-th ranked cycle size, which must (and
+does, in tests) match the rank-window engine.  The float tables hold
+counts normalised by n!, where the falling-factorial weights collapse to
+1/n and prefix sums make every cell O(1); n = 2500 tables build in
+seconds.  The longest-side float PMF is exact's threshold chain
 (pmf_float), which covers the same counts; the shortest-side float
-recursion is built here, apart from that kernel, so that the proven chain
-can validate it.  It runs one rank at a time over row-major [n, t] prefix
-sums, one contiguous row per size n, whose step reads one anti-diagonal of
-the prefix sums as a strided view; it keeps a full value table for the
-requested rank only, and returns it as [n, t].
+recursion is built here, apart from that kernel, so that
+pmf_from_tables_float is the check of the conjectural recursion against
+the proven chain.  It runs one rank at a time over row-major [n, t]
+prefix sums, one contiguous row per size n, whose step reads one
+anti-diagonal of the prefix sums as a strided view; it keeps a full
+value table for the requested rank only, and returns it as [n, t].
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
 of its own, held at a size >= n_max: it runs ranks 1..r from the all-zero
@@ -253,9 +255,7 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
 def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
-    exact._check_rank(r, "pmf_from_tables")
-    if n < 1:
-        raise ValueError("pmf_from_tables requires n >= 1")
+    exact._check_rank(r, "pmf_from_tables", n)
     if side is Side.SMALLEST and r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
@@ -331,15 +331,14 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
 
 
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
-    """Float PMF of the r-th ranked cycle size from the normalised tables.
+    """Float PMF of the r-th ranked cycle size: the conjecture check.
 
-    The largest side is exact.pmf_float's threshold chain; the smallest
-    side runs the conjectural recursion.  Both raise PrecisionError when
-    the mass-sum or probability-range check fails.
+    The largest side is exact.pmf_float, the production engine, itself;
+    the smallest side runs the conjectural recursion, to be compared with
+    exact.pmf_float's proven chain.  Both raise PrecisionError when the
+    mass-sum or probability-range check fails.
     """
-    exact._check_rank(r, "pmf_from_tables_float")
-    if n < 1:
-        raise ValueError("pmf_from_tables_float requires n >= 1")
+    exact._check_rank(r, "pmf_from_tables_float", n)
     if side is Side.LARGEST:
         return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
     if r > _MAX_RANK:

@@ -91,8 +91,8 @@ def _spectrum(kind: ObjectKind, n: int) -> Counter:
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked component size, by full enumeration."""
-    if n < 1 or r < 1:
-        raise ValueError("enumerate_pmf requires n >= 1 and r >= 1")
+    if isinstance(n, bool) or isinstance(r, bool) or n < 1 or r < 1:
+        raise ValueError(f"enumerate_pmf requires int n >= 1 and r >= 1, got n={n!r}, r={r!r}")
     if n > _MAX_N[kind]:
         raise ValueError(f"enumeration budget is n <= {_MAX_N[kind]} for {kind.name}")
     # r components of size > n // r do not fit; an r-th smallest of size m needs r - 1 others
@@ -108,8 +108,3 @@ def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     total = total_count(kind, n)
     probs = tuple(Fraction(c, total) for c in tally)
     return ComponentPMF(kind, n, r, side, probs)
-
-
-def connected_tally(kind: ObjectKind, n: int) -> int:
-    """Number of enumerated n-objects having a single component."""
-    return sum(count for sizes, count in _spectrum(kind, n).items() if len(sizes) == 1)

@@ -10,6 +10,7 @@ import pytest
 
 from permap import asymptotics, exact, ktp
 from permap.cli import _ENGINES, main
+from reference_tables import PERM_STATS, PERM_STATS_ERRATA, STATS_TOL
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -210,6 +211,30 @@ def test_table_text_and_csv_note_conjectural_columns(capsys) -> None:
                              "--n", "8", "--engine", "exact-float", "--format", fmt)
         assert code == 0
         assert err == ""
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_readme_permutation_tables_reproduce_the_published_statistics(capsys, rank) -> None:
+    # the README's command on the default, production engine, held to
+    # criterion 05's tolerances and errata rule, with no conjectural column
+    code, out, err = run(capsys, "table", "--kind", "permute", "--rank", str(rank),
+                         "--n", "1000,1500,2000,2500", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["engine"] == "exact-float" and doc["conjectural"] is False
+    rows = {row["n"]: row for row in doc["rows"]}
+    assert sorted(rows) == sorted(PERM_STATS[rank])
+    for n, (l_mu, l_s2, l_nu, l_th, s_mu, s_s2) in PERM_STATS[rank].items():
+        row = rows[n]
+        for col, want in (("L_mu", l_mu), ("L_sigma2", l_s2), ("S_mu", s_mu),
+                          ("S_sigma2", s_s2)):
+            got = row[f"{col}_norm"]
+            truth = PERM_STATS_ERRATA.get((rank, n, col))
+            if truth is None:
+                assert abs(got - want) <= STATS_TOL, (n, col)
+            else:  # a last-digit erratum, still anchored to the published figure
+                assert abs(got - truth) <= STATS_TOL and abs(got - want) <= 6e-7, (n, col)
+        assert row["L_nu_norm"] == l_nu / n and row["L_theta_norm"] == l_th / n, n
 
 
 def test_exact_engine_cost_note(capsys) -> None:

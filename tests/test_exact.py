@@ -16,12 +16,10 @@ from permap.exact import (
     INFINITY,
     PrecisionError,
     _build_chain,
-    demote,
     largest_poly,
     memo_stats,
     pmf,
     pmf_float,
-    promote,
     smallest_poly,
     support_length,
     top_threshold,
@@ -29,6 +27,7 @@ from permap.exact import (
 from permap.kinds import ObjectKind, Side, total_count
 from permap.oracle import _spectrum
 from permap.stats import summarize
+from test_properties import demote, promote
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING

@@ -8,14 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permap.kinds import (
-    ObjectKind,
-    Side,
-    connected_count,
-    exp_log_weights,
-    first_component_split,
-    total_count,
-)
+from permap.kinds import ObjectKind, Side, connected_count, exp_log_weights, total_count
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -30,6 +23,30 @@ def first_component_split_exact(kind: ObjectKind, n: int) -> tuple[Fraction, ...
         Fraction(connected_count(kind, j) * math.comb(n - 1, j - 1) * total_count(kind, n - j), den)
         for j in range(1, n + 1)
     )
+
+
+def first_component_split(kind: ObjectKind, n: int) -> tuple[float, ...]:
+    """Probabilities that the component containing the lowest label has size j.
+
+    Entry j-1 of the returned tuple is
+        P_n(j) = c_j * C(n-1, j-1) * t_{n-j} / t_n,   j = 1..n,
+    the exact ratio rounded once to float.  These sum to 1: conditioning on
+    the component of the lowest label decomposes every object uniquely.
+    For permutations P_n(j) = 1/n for every j.
+    """
+    if n < 1:
+        raise ValueError(f"first_component_split requires n >= 1, got {n}")
+    if kind is ObjectKind.PERMUTATION:
+        return tuple([1.0 / n] * n)
+    den = total_count(kind, n)
+    probs = []
+    binom = 1  # C(n-1, j-1), advanced one j at a time
+    for j in range(1, n + 1):
+        num = connected_count(kind, j) * binom * total_count(kind, n - j)
+        # float(Fraction) would gcd-reduce huge integers; shift-divide instead
+        probs.append(math.ldexp((num << 64) // den, -64))
+        binom = binom * (n - j) // j
+    return tuple(probs)
 
 
 def test_connected_permutations_are_single_cycles() -> None:
@@ -59,6 +76,21 @@ def test_connected_rejects_empty_object() -> None:
     for kind in (P, M):
         with pytest.raises(ValueError):
             connected_count(kind, 0)
+
+
+def test_numpy_int_sizes_give_exact_python_int_counts() -> None:
+    # a numpy size overflows past n = 15, and lru_cache would serve its
+    # value to the equal int key afterwards
+    connected_count.cache_clear()
+    total_count.cache_clear()
+    for n in (4, 20):
+        direct = sum(math.factorial(n - 1) // math.factorial(n - j) * n ** (n - j)
+                     for j in range(1, n + 1))
+        for size in (np.int64(n), n):
+            assert type(connected_count(M, size)) is int
+            assert connected_count(M, size) == direct
+            assert type(total_count(M, size)) is int
+            assert total_count(M, size) == n**n
 
 
 def test_total_counts() -> None:

@@ -305,23 +305,37 @@ def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, arg
         table(*args)
 
 
-@pytest.mark.parametrize("read", [
-    lambda r: exact.pmf(P, 3, r, L),
-    lambda r: exact.pmf_float(M, 3, r, S),
-    lambda r: pmf_from_tables(r, 3, L),
-    lambda r: pmf_from_tables_float(r, 3, L),
-    lambda r: pmf_from_tables_float(r, 3, S),
-], ids=["exact", "exact-float", "ktp", "ktp-float-largest", "ktp-float-smallest"])
+_READS = [
+    lambda n, r: exact.pmf(P, n, r, L),
+    lambda n, r: exact.pmf_float(M, n, r, S),
+    lambda n, r: pmf_from_tables(r, n, L),
+    lambda n, r: pmf_from_tables_float(r, n, L),
+    lambda n, r: pmf_from_tables_float(r, n, S),
+]
+_READ_IDS = ["exact", "exact-float", "ktp", "ktp-float-largest", "ktp-float-smallest"]
+
+
+@pytest.mark.parametrize("read", _READS, ids=_READ_IDS)
 def test_bool_ranks_are_refused_before_the_store(monkeypatch, read) -> None:
     # the store reads rank r - 1 from a key, and True == 1: a bool rank
-    # would be served, and held, as rank 1
+    # would be served, and held, as rank 1; numpy reads row True of a table
+    # as a mask, and a bool size would be served as size 1
     def refuse(*args):
         raise AssertionError("a refused request reached the store")
 
     monkeypatch.setattr(exact, "_stored", refuse)
     for r in (True, False, 0, -1):
         with pytest.raises(ValueError, match="rank"):
-            read(r)
+            read(3, r)
+    for n in (True, False, 0, -1):
+        with pytest.raises(ValueError, match="size"):
+            read(n, 2)
+
+
+@pytest.mark.parametrize("read", _READS, ids=_READ_IDS)
+def test_numpy_integer_sizes_and_ranks_are_served(read) -> None:
+    got = read(np.int64(5), np.int64(2))
+    assert got.probs == read(5, 2).probs
 
 
 @pytest.mark.parametrize("table, last", [(longest_table, 5), (shortest_table, 10)])

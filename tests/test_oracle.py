@@ -7,13 +7,14 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from permap import exact, oracle
 from permap.kinds import ObjectKind, Side, connected_count
-from permap.oracle import connected_tally, decompose, enumerate_pmf
+from permap.oracle import decompose, enumerate_pmf
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -163,6 +164,14 @@ def test_enumeration_budget() -> None:
         enumerate_pmf(M, 8, 2, L)
 
 
+def test_bool_sizes_and_ranks_are_refused() -> None:
+    # True == 1: a bool would be served as size or rank 1
+    for n, r in ((3, True), (True, 1), (3, False), (False, 1), (0, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            enumerate_pmf(P, n, r, L)
+    assert enumerate_pmf(M, np.int64(4), np.int64(2), S) == enumerate_pmf(M, 4, 2, S)
+
+
 def test_enumerated_fixture_distributions() -> None:
     got = enumerate_pmf(P, 4, 2, L)
     assert got.probs == (Fraction(6, 24), Fraction(15, 24), Fraction(3, 24))
@@ -179,6 +188,11 @@ def test_single_cycle_probability_is_one_over_n() -> None:
     for n in range(1, 7):
         dist = enumerate_pmf(P, n, 1, L)
         assert dist.probs[n] == Fraction(1, n)
+
+
+def connected_tally(kind: ObjectKind, n: int) -> int:
+    """Number of enumerated n-objects having a single component."""
+    return sum(count for sizes, count in oracle._spectrum(kind, n).items() if len(sizes) == 1)
 
 
 def test_connected_tally_matches_closed_counts() -> None:

@@ -19,16 +19,10 @@ from scipy.integrate import quad
 
 from permap import exact
 from permap.asymptotics import density_f, density_g, dickman, largest_cdf
-from permap.kinds import (
-    ObjectKind,
-    Side,
-    connected_count,
-    first_component_split,
-    total_count,
-)
+from permap.kinds import ObjectKind, Side, connected_count, total_count
 from permap.ktp import delta, harmonic, stirling_cycle
 from permap.stats import ComponentPMF, summarize
-from test_kinds import first_component_split_exact
+from test_kinds import first_component_split, first_component_split_exact
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -158,6 +152,16 @@ def test_dickman_range_and_ordering_on_grid() -> None:
 # randomized algebraic properties
 
 
+def promote(ranks, j: int) -> tuple:
+    """Insert size j into the window, keep the r largest entries."""
+    return tuple(sorted(tuple(ranks) + (j,))[1:])
+
+
+def demote(ranks, j: int) -> tuple:
+    """Insert size j into the window, keep the r smallest entries."""
+    return tuple(sorted(tuple(ranks) + (j,))[:-1])
+
+
 finite_windows = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6)
 sizes = st.integers(min_value=1, max_value=25)
 
@@ -165,7 +169,7 @@ sizes = st.integers(min_value=1, max_value=25)
 @given(finite_windows, st.integers(min_value=1, max_value=40))
 @settings(max_examples=100, deadline=None)
 def test_promote_drops_smallest(window, j) -> None:
-    got = exact.promote(window, j)
+    got = promote(window, j)
     pool = sorted(window + [j])
     assert len(got) == len(window)
     assert list(got) == sorted(got)
@@ -175,7 +179,7 @@ def test_promote_drops_smallest(window, j) -> None:
 @given(finite_windows, st.integers(min_value=1, max_value=40))
 @settings(max_examples=100, deadline=None)
 def test_demote_drops_largest(window, j) -> None:
-    got = exact.demote(window, j)
+    got = demote(window, j)
     pool = sorted(window + [j])
     assert len(got) == len(window)
     assert list(got) == sorted(got)
@@ -187,7 +191,7 @@ def raw_row(kind: ObjectKind, side: Side, m: int, window: tuple) -> tuple[int, .
     if m == 0:
         digest = window[0] if side is L else window[-1]
         return (1,) if digest == exact.INFINITY else (0,) * digest + (1,)
-    step = exact.promote if side is L else exact.demote
+    step = promote if side is L else demote
     acc: list[int] = []
     for j in range(1, m + 1):
         weight = connected_count(kind, j) * math.comb(m - 1, j - 1)
