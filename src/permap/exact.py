@@ -213,9 +213,8 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
-    n = operator.index(n)  # the big-integer recursion must not run on numpy ints
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_kind(kind, side, "a row polynomial")
+    n = _whole(n, 0, "size n")  # the big-integer recursion must not run on numpy ints
     window = tuple(sorted(ranks))
     if not window:
         raise ValueError("rank window must have at least one entry")
@@ -264,21 +263,47 @@ def support_length(n: int, r: int, side: Side) -> int:
     return top_threshold(n, r, side) + 1
 
 
-def _check_rank(r: int, what: str, n: int = 1) -> None:
-    """Refuse a rank r or a size n below 1, and a bool for either.
+def _whole(value, low: int, what: str) -> int:
+    """value as an int >= low, numpy ints included; a bool or a non-integer is refused.
 
-    True == 1: a bool would be served, and stored, as rank or size 1, and
-    numpy reads table[True] as a mask.  ktp's public tables pass no n:
-    their n_max may be 0.
+    True == 1 would be served, and stored, as 1 (numpy reads table[True] as
+    a mask), and a float would fail deep inside a builder.
     """
-    for name, value in (("rank r", r), ("size n", n)):
-        if isinstance(value, bool) or value < 1:
-            raise ValueError(f"{what} requires an int {name} >= 1, got {value!r}")
+    try:
+        whole = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or whole < low:
+        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
+    return whole
+
+
+def _check_kind(kind: ObjectKind, side: Side, what: str) -> None:
+    """Refuse a kind or side that is not a member of its enum.
+
+    Every branch tests them with `is`: a string would be served as the
+    other kind or side, and stored under a key of its own.
+    """
+    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
+        raise ValueError(f"{what} requires an ObjectKind and a Side, got {kind!r}, {side!r}")
+
+
+def _check_rank(r: int, what: str, n: int = 1, kind: ObjectKind = ObjectKind.PERMUTATION,
+                side: Side = Side.LARGEST) -> None:
+    """Refuse a bad request before it reaches a builder or the store.
+
+    The rank r and size n must be ints >= 1 (see _whole), kind and side
+    members of their enums (see _check_kind).  ktp's public tables pass no
+    n, kind or side: their n_max may be 0.
+    """
+    _check_kind(kind, side, what)
+    _whole(r, 1, f"{what}: rank r")
+    _whole(n, 1, f"{what}: size n")
 
 
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact distribution of the r-th ranked component size, as Fractions."""
-    _check_rank(r, "pmf", n)
+    _check_rank(r, "pmf", n, kind, side)
     slots = min(r, n + 1)  # at most n components: a wider window keeps the digest 0
     if side is Side.LARGEST:
         coeffs = largest_poly(kind, n, (0,) * slots).coeffs
@@ -295,10 +320,6 @@ def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
 def memo_stats() -> dict[str, int]:
     """Rows held per (kind, side) memo at its current slot width, for capacity planning."""
     return {f"{kind.value}/{side.value}": len(rows) for (kind, side), (_, rows) in _MEMO.items()}
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +494,7 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     1e-9.  Feasible far beyond the exact engine (mappings into the high
     hundreds, permutations into the thousands, in seconds).
     """
-    _check_rank(r, "pmf_float", n)
+    _check_rank(r, "pmf_float", n, kind, side)
     top, tau = _stored(_build_chain, (kind, side, r), n)
     probs = _row_pmf(top, n, r, side, tau[n])
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

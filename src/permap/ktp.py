@@ -17,10 +17,12 @@ nothing reads, is not stored; shortest_table puts that row back.
 
 u_r obeys a proven recursion.  v_r (r >= 2) obeys a recursion with an
 additive correction term, conjectural beyond the ranges on which it has
-been verified; every table derived from it is flagged as such.  Both
-routes evaluate the correction in closed form, (n-1)! e_{r-1}(1, 1/2, ...,
-1/(n-k)), which explains why it is the Stirling cycle number c(n, r) at
-k = 1 (see delta; the tests check that against c's own recurrence).
+been verified; every table derived from it is flagged as such.  The
+correction has two closed forms (see delta), and each route takes its
+own: the exact tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r) with c
+the Stirling cycle number, and the float tables use (n-1)!
+e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q from harmonic sums by Newton's
+identities, so that the two routes check each other.
 
 Every route here verifies exact.pmf_float, the one production engine.
 The exact tables are built by the three-term recurrences that their
@@ -81,8 +83,7 @@ _HARMONIC: dict[int, list[Fraction]] = {}
 
 def harmonic(m: int, power: int = 1) -> Fraction:
     """Generalised harmonic number sum_{i=1}^{m} 1/i^power, exact."""
-    if m < 0:
-        raise ValueError("harmonic requires m >= 0")
+    m, power = exact._whole(m, 0, "harmonic's m"), exact._whole(power, 0, "harmonic's power")
     seq = _HARMONIC.setdefault(power, [Fraction(0)])
     while len(seq) <= m:
         i = len(seq)
@@ -93,62 +94,50 @@ def harmonic(m: int, power: int = 1) -> Fraction:
 _STIRLING: list[tuple[int, ...]] = [(1, 0, 0, 0, 0, 0)]  # row n holds c(n, 0..5)
 
 
-def stirling_cycle(n: int, k: int) -> int:
-    """Number of n-permutations with exactly k cycles (k <= 5 supported)."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling_cycle requires n, k >= 0")
-    if k > 5:
-        raise ValueError("only k <= 5 is tabulated")
+def _stirling_rows(n: int) -> list[tuple[int, ...]]:
+    """The table of c(m, 0..5), grown to hold the rows m = 0..n."""
     rows = _STIRLING
     while len(rows) <= n:  # c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
         m, prev = len(rows), rows[-1]
         rows.append(tuple((prev[j - 1] if j else 0) + (m - 1) * prev[j] for j in range(6)))
-    return rows[n][k]
+    return rows
+
+
+def stirling_cycle(n: int, k: int) -> int:
+    """Number of n-permutations with exactly k cycles (k <= 5 supported)."""
+    n, k = exact._whole(n, 0, "stirling_cycle's n"), exact._whole(k, 0, "stirling_cycle's k")
+    if k > 5:
+        raise ValueError("only k <= 5 is tabulated")
+    return _stirling_rows(n)[n][k]
 
 
 def _elementary(p1, p2, p3):
     """e_1, e_2, e_3 from the power sums p_1, p_2, p_3 by Newton's identities.
 
-    Works on Fractions and on float arrays alike.
+    _v_norm applies it to float arrays of harmonic sums, so that the float
+    route reaches the correction term by another closed form than delta.
     """
     return p1, (p1**2 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
 
 
-_ELEMENTARY: dict[tuple[int, int], Fraction] = {}  # (q, m) -> e_q(1, 1/2, ..., 1/m)
-
-
 def delta(r: int, k: int, n: int) -> int:
-    """Correction term of the shortest-side recursion; always an integer.
+    """Correction term of the shortest-side recursion, an integer.
 
     delta(r, k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)) for k <= n, e_q
     the elementary symmetric polynomial, and 0 for k > n.  The defining
     recursion delta_r(k) = delta_r(k-1) - delta_{r-1}(k)/(n-k+1), from the
     head delta_r(1, n), telescopes to it, because adding 1/m to the set
     gives e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m.  Since c(m+1, r) =
-    m! e_{r-1}(1, ..., 1/m), this is (n-1)!/(n-k)! c(n-k+1, r); at k = 1,
-    the Stirling cycle number c(n, r).  Integrality is checked on every
-    call rather than assumed.
+    m! e_{r-1}(1, ..., 1/m), this is (n-1)!/(n-k)! c(n-k+1, r), which is
+    how it is computed, in integers; at k = 1 it is the Stirling cycle
+    number c(n, r).
     """
+    r, k, n = (exact._whole(v, 1, f"delta's {name}") for v, name in ((r, "r"), (k, "k"), (n, "n")))
     if r < 2 or r > _MAX_RANK:
         raise ValueError(f"correction term defined for ranks 2..{_MAX_RANK}")
-    if k < 1 or n < 1:
-        raise ValueError("delta requires k >= 1 and n >= 1")
     if k > n:
         return 0
-    return _delta(r, k, n, math.factorial(n - 1))
-
-
-def _delta(r: int, k: int, n: int, fact: int) -> int:
-    """delta(r, k, n) for valid 1 <= k <= n, given fact = (n-1)!."""
-    m = n - k
-    if (r - 1, m) not in _ELEMENTARY:
-        for q, e in enumerate(_elementary(*(harmonic(m, power) for power in (1, 2, 3))), 1):
-            _ELEMENTARY[q, m] = e
-    e = _ELEMENTARY[r - 1, m]
-    val, rem = divmod(fact * e.numerator, e.denominator)
-    if rem:
-        raise ArithmeticError(f"correction term not integral at (r={r}, k={k}, n={n})")
-    return val
+    return math.perm(n - 1, k - 1) * stirling_cycle(n - k + 1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +179,15 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     F(n, m) v_r(k, n-1-m) gives the cells n >= k + r - 1 (others hold 0, or
     1 at r = 1, n = 0).  Less delta_r it is s, which telescopes as in
     _u_rows; s starts at n = k + r - 1 from 0 because at n = k + r - 2
-    every term of the sum vanishes: delta_r is (n-1)! e_{r-1} of r - 2
-    reciprocals, and each table read is a zero cell.  Each column runs
-    ranks q = 1..r in turn, or rank r alone from column t of lower, a rank
-    r-1 table held at a size >= n_max.  The column k = 0, v_r(0, n) = n!,
-    is not held.
+    every term of the sum vanishes: delta_r(k, n) = F(n, k-1) c(n-k+1, r)
+    (see delta), and c(r-1, r) = 0 there; each table read is a zero cell.
+    Column t, k = t + 1, adds F(n, t) c(n-t, r), in integers, with the
+    F(n, t) it already holds.  Each column runs ranks q = 1..r in turn, or
+    rank r alone from column t of lower, a rank r-1 table held at a size
+    >= n_max.  The column k = 0, v_r(0, n) = n!, is not held.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
+    cycles = _stirling_rows(n_max)
     rows = []
     for t in range(top_threshold(n_max, r, Side.SMALLEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - t] if n > t else 0 for n in range(n_max + 1)]
@@ -206,7 +197,7 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
             s = 0
             for n in range(t + q, n_max + 1):
                 s = (n - 1) * s + low[n - 1] + falling[n] * (row[n - 1 - t] - low[n - 1 - t])
-                row[n] = s + (_delta(q, t + 1, n, fact[n - 1]) if q > 1 else 0)
+                row[n] = s + falling[n] * cycles[n - t][q] if q > 1 else s
         rows.append(row)
     return rows
 
@@ -216,10 +207,10 @@ def _stored_rows(build, r: int, first: int, k_max: int, n_max: int) -> tuple:
 
     Past the stored table's last column, row k is that last column, one
     tuple repeated by reference (see the callers for why it holds every
-    later one).  Negative sizes are refused before the store is touched.
+    later one).  A k_max or n_max that is not an int >= 0 is refused before
+    the store is touched.
     """
-    if min(k_max, n_max) < 0:
-        raise ValueError(f"bad table request: k_max {k_max}, n_max {n_max}")
+    k_max, n_max = exact._whole(k_max, 0, "k_max"), exact._whole(n_max, 0, "n_max")
     count = k_max - first + 1
     columns = [tuple(row[: n_max + 1]) for row in exact._stored(build, (r,), n_max)[:count]]
     return tuple(columns + columns[-1:] * (count - len(columns)))
@@ -255,7 +246,7 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
 def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
-    exact._check_rank(r, "pmf_from_tables", n)
+    exact._check_rank(r, "pmf_from_tables", n, side=side)
     if side is Side.SMALLEST and r > _MAX_RANK:
         raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
@@ -338,7 +329,7 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     exact.pmf_float's proven chain.  Both raise PrecisionError when the
     mass-sum or probability-range check fails.
     """
-    exact._check_rank(r, "pmf_from_tables_float", n)
+    exact._check_rank(r, "pmf_from_tables_float", n, side=side)
     if side is Side.LARGEST:
         return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
     if r > _MAX_RANK:

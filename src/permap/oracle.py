@@ -91,8 +91,12 @@ def _spectrum(kind: ObjectKind, n: int) -> Counter:
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked component size, by full enumeration."""
-    if isinstance(n, bool) or isinstance(r, bool) or n < 1 or r < 1:
-        raise ValueError(f"enumerate_pmf requires int n >= 1 and r >= 1, got n={n!r}, r={r!r}")
+    # a string kind or side would be served as the other one, and a bool as 1
+    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
+        raise ValueError(f"enumerate_pmf requires an ObjectKind and a Side, got {kind!r}, {side!r}")
+    for value in (n, r):
+        if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < 1:
+            raise ValueError(f"enumerate_pmf requires int n >= 1 and r >= 1, got n={n!r}, r={r!r}")
     if n > _MAX_N[kind]:
         raise ValueError(f"enumeration budget is n <= {_MAX_N[kind]} for {kind.name}")
     # r components of size > n // r do not fit; an r-th smallest of size m needs r - 1 others

@@ -187,6 +187,20 @@ def test_windows_reject_bad_entries() -> None:
         smallest_poly(P, 3, [True])
 
 
+@pytest.mark.parametrize("poly", [largest_poly, smallest_poly])
+def test_row_polynomials_refuse_bad_kinds_and_sizes(poly) -> None:
+    # a string kind is served as a mapping; a bool size as 1; a float fails deep inside
+    window = (INFINITY,) * 2 if poly is smallest_poly else (0, 0)
+    for kind in ("permutation", None):
+        with pytest.raises(ValueError, match="ObjectKind"):
+            poly(kind, 4, window)
+    for n in (True, False, 4.0, np.float64(4), "4", -1):
+        with pytest.raises(ValueError, match="size"):
+            poly(P, n, window)
+    assert poly(P, np.int64(4), window) == poly(P, 4, window)
+    assert poly(P, 0, window).coeffs == poly(P, np.int64(0), window).coeffs
+
+
 # ---------------------------------------------------------------------------
 # PMFs
 
@@ -463,5 +477,5 @@ def test_window_rows_do_not_depend_on_the_slot_width(monkeypatch, kind, small, l
     pmf(kind, large, 2, side)
     assert exact._MEMO[kind, side][0] > narrow  # the larger request widened the slots
     assert pmf(kind, small, 3, side).probs == alone
-    exact.clear_memo()
+    exact._MEMO.clear()
     assert sum(memo_stats().values()) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -193,18 +194,34 @@ def test_delta_closed_form_second_rank() -> None:
             assert delta(2, k, n) == want
 
 
+@cache
+def harmonic_e(q: int, m: int) -> Fraction:
+    """e_q(1, 1/2, ..., 1/m), from the power sums harmonic(m, i) by Newton's identities.
+
+    j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i.  delta multiplies Stirling
+    numbers instead, so (n-1)! e_{r-1}(1, ..., 1/(n-k)) is an independent
+    form of it.
+    """
+    p = {i: harmonic(m, i) for i in range(1, q + 1)}
+    e = [Fraction(1)]
+    for j in range(1, q + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i] for i in range(1, j + 1)) / j)
+    return e[q]
+
+
 def test_delta_matches_stirling_at_k_one() -> None:
+    # delta(r, 1, n) = c(n, r) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-1))
     for r in (2, 3, 4):
         for n in range(r, 61):
-            assert delta(r, 1, n) == stirling_cycle(n, r)
+            assert delta(r, 1, n) == math.factorial(n - 1) * harmonic_e(r - 1, n - 1)
 
 
-def test_delta_is_the_stirling_form_at_every_k() -> None:
-    # delta(r, k, n) = (n-1)!/(n-k)! c(n-k+1, r), and 0 past k = n
+def test_delta_is_the_harmonic_form_at_every_k() -> None:
+    # delta(r, k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), and 0 past k = n
     for r in (2, 3, 4):
         for n in range(1, 81):
             for k in range(1, n + 1):
-                want = math.factorial(n - 1) // math.factorial(n - k) * stirling_cycle(n - k + 1, r)
+                want = math.factorial(n - 1) * harmonic_e(r - 1, n - k)
                 assert delta(r, k, n) == want, (r, k, n)
             assert delta(r, n + 1, n) == 0
 
@@ -233,10 +250,9 @@ def test_float_correction_rows_match_delta() -> None:
 def test_stirling_and_delta_do_not_recurse_deeply(monkeypatch) -> None:
     # one Python frame per size would pass the default recursion limit of 1000 here
     monkeypatch.setattr(ktp, "_STIRLING", [(1, 0, 0, 0, 0, 0)])
-    monkeypatch.setattr(ktp, "_ELEMENTARY", {})
     assert stirling_cycle(1500, 2) == math.factorial(1499) * harmonic(1499)
-    want = math.factorial(699) // math.factorial(100) * stirling_cycle(101, 3)
-    assert delta(3, 600, 700) == want
+    monkeypatch.setattr(ktp, "_STIRLING", [(1, 0, 0, 0, 0, 0)])
+    assert delta(3, 600, 700) == math.factorial(699) * harmonic_e(2, 100)
 
 
 def test_delta_rejects_unsupported_ranks() -> None:
@@ -247,10 +263,37 @@ def test_delta_rejects_unsupported_ranks() -> None:
 
 
 def test_stirling_recurrence() -> None:
-    # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k)
-    for n in range(2, 30):
-        for k in range(1, 5):
+    # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k) from c(0, 0) = 1, with
+    # c(n, 0) = 0 for n >= 1 and c(n, k) = 0 for k > n
+    assert stirling_cycle(0, 0) == 1
+    for n in range(1, 201):
+        assert stirling_cycle(n, 0) == 0
+        assert stirling_cycle(n, 1) == math.factorial(n - 1)
+        for k in range(1, 6):
             assert stirling_cycle(n, k) == stirling_cycle(n - 1, k - 1) + (n - 1) * stirling_cycle(n - 1, k)
+    for n in range(6):
+        assert stirling_cycle(n, n) == 1
+        for k in range(n + 1, 6):
+            assert stirling_cycle(n, k) == 0, (n, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: delta(v, 1, 4),
+    lambda v: delta(2, v, 4),
+    lambda v: delta(2, 1, v),
+    lambda v: harmonic(v),
+    lambda v: harmonic(3, v),
+    lambda v: stirling_cycle(v, 2),
+    lambda v: stirling_cycle(4, v),
+], ids=["delta-r", "delta-k", "delta-n", "harmonic-m", "harmonic-power", "stirling-n",
+        "stirling-k"])
+def test_helpers_refuse_bools_and_non_integers(call) -> None:
+    # True == 1 would be served as 1, and a float index fails inside the tables
+    for bad in (True, False, 2.0, np.float64(2), Fraction(2), "2", None):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert call(np.int64(2)) == call(2)
+    assert type(call(np.int64(2))) is type(call(2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +337,15 @@ def test_exact_counts_past_rank_n_max_plus_one_are_all_n_factorial(monkeypatch) 
     (shortest_table, (True, 2, 2)),
     (longest_table, (0, 2, 2)),
     (shortest_table, (5, 2, 2)),
+    (longest_table, (2.0, 3, 4)),
+    (shortest_table, (2.0, 3, 4)),
+    (longest_table, (2, 3.0, 4)),
+    (shortest_table, (2, 3, 4.0)),
+    (longest_table, (2, True, 4)),
+    (shortest_table, (2, 3, "4")),
 ], ids=["long-n", "long-k", "short-n", "short-k", "long-bool", "short-bool", "long-0",
-        "short-5"])
+        "short-5", "long-float-r", "short-float-r", "long-float-k", "short-float-n",
+        "long-bool-k", "short-str-n"])
 def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, args) -> None:
     def refuse(*args):
         raise AssertionError("a refused request reached the store")
@@ -319,17 +369,53 @@ _READ_IDS = ["exact", "exact-float", "ktp", "ktp-float-largest", "ktp-float-smal
 def test_bool_ranks_are_refused_before_the_store(monkeypatch, read) -> None:
     # the store reads rank r - 1 from a key, and True == 1: a bool rank
     # would be served, and held, as rank 1; numpy reads row True of a table
-    # as a mask, and a bool size would be served as size 1
+    # as a mask, and a bool size would be served as size 1; a float or a
+    # string would fail deep inside a builder
     def refuse(*args):
         raise AssertionError("a refused request reached the store")
 
     monkeypatch.setattr(exact, "_stored", refuse)
-    for r in (True, False, 0, -1):
+    for r in (True, False, 0, -1, 2.0, np.float64(2), Fraction(2), "2", None):
         with pytest.raises(ValueError, match="rank"):
             read(3, r)
-    for n in (True, False, 0, -1):
+    for n in (True, False, 0, -1, 5.0, np.float64(5), Fraction(5), "5", None):
         with pytest.raises(ValueError, match="size"):
             read(n, 2)
+
+
+_SIDED_READS = [
+    lambda kind, side: exact.pmf(kind, 5, 2, side),
+    lambda kind, side: exact.pmf_float(kind, 5, 2, side),
+    lambda kind, side: pmf_from_tables(2, 5, side),
+    lambda kind, side: pmf_from_tables_float(2, 5, side),
+]
+_SIDED_IDS = ["exact", "exact-float", "ktp", "ktp-float"]
+
+
+@pytest.mark.parametrize("read", _SIDED_READS, ids=_SIDED_IDS)
+def test_sides_that_are_not_a_side_are_refused_before_the_store(monkeypatch, read) -> None:
+    # every branch tests the side with `is`: "largest" would be served as
+    # the smallest side, and stored under a key of its own
+    def refuse(*args):
+        raise AssertionError("a refused request reached the store")
+
+    monkeypatch.setattr(exact, "_stored", refuse)
+    for side in ("largest", "smallest", None, 0):
+        with pytest.raises(ValueError, match="Side"):
+            read(P, side)
+
+
+@pytest.mark.parametrize("read", _SIDED_READS[:2], ids=_SIDED_IDS[:2])
+def test_kinds_that_are_not_a_kind_are_refused_before_the_store(monkeypatch, read) -> None:
+    # "permutation" would be served as a mapping, under the permutation label
+    def refuse(*args):
+        raise AssertionError("a refused request reached the store")
+
+    monkeypatch.setattr(exact, "_stored", refuse)
+    for kind in ("permutation", "mapping", None):
+        for side in (L, S):
+            with pytest.raises(ValueError, match="ObjectKind"):
+                read(kind, side)
 
 
 @pytest.mark.parametrize("read", _READS, ids=_READ_IDS)

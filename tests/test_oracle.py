@@ -165,11 +165,20 @@ def test_enumeration_budget() -> None:
 
 
 def test_bool_sizes_and_ranks_are_refused() -> None:
-    # True == 1: a bool would be served as size or rank 1
-    for n, r in ((3, True), (True, 1), (3, False), (False, 1), (0, 1), (3, 0)):
+    # True == 1: a bool would be served as size or rank 1; a float or a
+    # string size would fail inside the enumeration
+    for n, r in ((3, True), (True, 1), (3, False), (False, 1), (0, 1), (3, 0), (5.0, 2), (5, 2.0),
+                 (np.float64(5), 2), ("5", 2), (5, None)):
         with pytest.raises(ValueError):
             enumerate_pmf(P, n, r, L)
     assert enumerate_pmf(M, np.int64(4), np.int64(2), S) == enumerate_pmf(M, 4, 2, S)
+
+
+def test_kinds_and_sides_that_are_not_members_are_refused() -> None:
+    # a string kind or side would be served as the other one
+    for kind, side in (("permutation", L), (P, "largest"), (P, "smallest"), (None, S)):
+        with pytest.raises(ValueError, match="ObjectKind and a Side"):
+            enumerate_pmf(kind, 5, 2, side)
 
 
 def test_enumerated_fixture_distributions() -> None:

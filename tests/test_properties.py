@@ -20,9 +20,10 @@ from scipy.integrate import quad
 from permap import exact
 from permap.asymptotics import density_f, density_g, dickman, largest_cdf
 from permap.kinds import ObjectKind, Side, connected_count, total_count
-from permap.ktp import delta, harmonic, stirling_cycle
+from permap.ktp import delta, harmonic
 from permap.stats import ComponentPMF, summarize
 from test_kinds import first_component_split, first_component_split_exact
+from test_ktp import harmonic_e
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -89,9 +90,11 @@ def test_float_engine_agreement_full_grid() -> None:
 
 
 def test_stirling_identity_to_200() -> None:
+    # delta(r, 1, n) = c(n, r) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-1)); delta
+    # multiplies Stirling numbers, so it is checked against the harmonic form
     for r in (2, 3, 4):
         for n in range(r, 201):
-            assert delta(r, 1, n) == stirling_cycle(n, r), (r, n)
+            assert delta(r, 1, n) == math.factorial(n - 1) * harmonic_e(r - 1, n - 1), (r, n)
 
 
 # ---------------------------------------------------------------------------
