@@ -26,7 +26,6 @@ from permap import (
     Side,
     delta,
     enumerate_pmf,
-    harmonic,
     pmf,
     pmf_from_tables,
 )
@@ -49,6 +48,11 @@ for n in (6, 9, 12):
             print(f"  n={n:2d} r={r} {side.value:9s} {tag}: {status}")
 print()
 
+
+
+def harmonic(m, power):
+    """sum_{i=1}^{m} 1/i^power, exact."""
+    return sum((Fraction(1, i**power) for i in range(1, m + 1)), Fraction(0))
 
 
 def elementary(q, m):

@@ -17,7 +17,7 @@ from .kinds import ObjectKind, Side, connected_count, total_count
 from .exact import (INFINITY, PrecisionError, RowPolynomial, largest_poly,
                     pmf, pmf_float, smallest_poly, support_length)
 from .stats import ComponentPMF, SummaryStats, summarize
-from .ktp import (CycleCountTable, delta, harmonic, longest_table, pmf_from_tables,
+from .ktp import (CycleCountTable, delta, longest_table, pmf_from_tables,
                   pmf_from_tables_float, shortest_table, stirling_cycle)
 from .asymptotics import (DickmanTable, MomentConstant, constants_catalog,
                           density_f, density_g, dickman, exp_integral,
@@ -30,7 +30,7 @@ __all__ = [
     "ObjectKind", "Side", "connected_count", "total_count", "INFINITY",
     "PrecisionError", "RowPolynomial", "largest_poly", "smallest_poly", "pmf",
     "pmf_float", "support_length", "ComponentPMF", "SummaryStats", "summarize",
-    "CycleCountTable", "delta", "harmonic", "stirling_cycle", "longest_table",
+    "CycleCountTable", "delta", "stirling_cycle", "longest_table",
     "shortest_table", "pmf_from_tables", "pmf_from_tables_float", "DickmanTable",
     "MomentConstant", "exp_integral", "dickman", "largest_cdf", "density_f",
     "density_g", "mode_x0", "median_xi", "moment_L", "moment_S",

@@ -137,6 +137,15 @@ def _emit(text: str, path: str | None) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _render_table(cols: list[str], rows: list[dict], conjectural: bool, args) -> str:
     if args.format == "json":
         rows = [{c: None if math.isnan(v) else v for c, v in row.items()} for row in rows]
@@ -144,12 +153,8 @@ def _render_table(cols: list[str], rows: list[dict], conjectural: bool, args) ->
                            "engine": args.engine, "conjectural": conjectural,
                            "columns": ["n"] + cols, "rows": rows}, indent=2) + "\n"
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n"] + cols)
-        for row in rows:
-            writer.writerow([row["n"]] + [repr(float(row[c])) for c in cols])
-        return buf.getvalue()
+        return _csv(["n"] + cols, ([row["n"]] + [repr(float(row[c])) for c in cols]
+                                   for row in rows))
     # text: means/variances to --digits, scaled medians/modes to 4 decimals
     def fmt(col: str, val: float) -> str:
         places = args.digits if col.split("_")[1] in ("mu", "sigma2") else 4
@@ -178,12 +183,8 @@ def _cmd_constants(args) -> int:
         text = json.dumps([{"name": n, "value": v, "error": e}
                            for n, v, e in catalog], indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "value", "error"])
-        for name, value, err in catalog:
-            writer.writerow([name, repr(value), repr(err)])
-        text = buf.getvalue()
+        text = _csv(["name", "value", "error"],
+                    ([name, repr(value), repr(err)] for name, value, err in catalog))
     else:
         name_w = max(len(n) for n, _, _ in catalog)
         lines = [f"{name:<{name_w}}  {value:.{args.digits}g}  (err <= {err:.1e})"
@@ -250,14 +251,10 @@ def _suite_oracle() -> list[tuple[str, bool, str]]:
 
 def _suite_mode_shift() -> list[tuple[str, bool, str]]:
     checks = []
-    modes = {}
-    for n in (433, 434):
-        pmf = exact.pmf_float(ObjectKind.MAPPING, n, 2, Side.SMALLEST)
-        modes[n] = summarize(pmf).mode
-    checks.append(("mapping second-smallest mode at n=433", modes[433] == 0,
-                   f"mode {modes[433]}, expect 0"))
-    checks.append(("mapping second-smallest mode at n=434", modes[434] == 2,
-                   f"mode {modes[434]}, expect 2"))
+    for n, want in ((433, 0), (434, 2)):
+        mode = summarize(exact.pmf_float(ObjectKind.MAPPING, n, 2, Side.SMALLEST)).mode
+        checks.append((f"mapping second-smallest mode at n={n}", mode == want,
+                       f"mode {mode}, expect {want}"))
     return checks
 
 

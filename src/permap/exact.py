@@ -61,12 +61,13 @@ Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
 one grow rule; create none of your own state here.  A table builder is a
 pure function of its rank, n_max and an optional rank r-1 table of its own
-builder, held at a size >= n_max: it runs ranks 1..r from the all-zero
-rank 0, or rank r alone from that table, and never calls the store; the
-store passes the table when it holds one (_stored).  An object of size
-<= n has at most n components, so a rank past n + 1 changes no digest:
-the chain and ktp's exact counts run at most n_max + 1 ranks, and the
-window recursion keeps at most n + 1 entries.
+builder, held at a size >= n_max, with r <= n_max + 1: it runs ranks 1..r
+from the all-zero rank 0, or rank r alone from that table, and never calls
+the store; the store alone decides when to pass the table (_stored).  An
+object of size <= n has at most n components, so a rank past n + 1
+changes no digest: the chain and ktp's exact counts run at most n_max + 1
+ranks, a build past rank n_max + 1 runs them from rank 0, and the window
+recursion keeps at most n + 1 entries.
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
@@ -345,10 +346,10 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     fewer-than-r-components digest 0.  Levels past n_max, where every
     m-object has at most c components, change no cell, so at most n_max + 1
     levels run.  lower, the (table, tau) of a rank r-1 build at a size
-    >= n_max, holds level min(r-1, n_max+1) - 1 on rows <= n_max and
-    columns <= this table's last; the levels from there on are run from it
-    instead of from the all-zero level -1, with the same bits, since no
-    cell depends on the table's size.
+    >= n_max, with r <= n_max + 1, holds level r-2 on rows <= n_max and
+    columns <= this table's last; level r-1 is run from it instead of from
+    the all-zero level -1, with the same bits, since no cell depends on the
+    table's size.
 
     A new component of size j <= t leads to the same level on the largest
     side and to level c-1 on the smallest; a larger one the other way
@@ -362,31 +363,25 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     """
     largest = side is Side.LARGEST
     width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
-    levels = min(r, rows)
     q, tau = exp_log_weights(kind, n_max)
-    done = 0  # levels run so far
-    if lower is not None:
-        done, held = min(r - 1, rows), lower[0][:rows, :width]
-        if done == levels:  # it ran them all: its top level is this one
-            return held.copy(), tau
     uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
     if uniform:
         out = np.empty((rows, width))
         out[0] = 1.0
-        scratch = np.empty(width)
         shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
         stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     else:
         mask = np.arange(1, rows)[:, None] <= np.arange(width)[None, :]  # mask[j-1, t]: j <= t
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
-    level = np.zeros(shape)  # level -1 is identically zero
-    if lower is not None:  # level done - 1, read only; the uniform step wants prefix sums
+    done, level = 0, np.zeros(shape)  # levels run so far; level -1 is identically zero
+    if lower is not None:  # level r - 2, read only; the uniform step wants prefix sums
+        done, held = r - 1, lower[0][:rows, :width]
         if uniform:
             np.cumsum(held, axis=0, out=level[1:])
         else:
             level = held
-    for c in range(done, levels):
+    for c in range(done, min(r, rows)):
         prev, level = level, np.zeros(shape)
         low, high = (level, prev) if largest else (prev, level)
         if uniform:
@@ -397,7 +392,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
                 # anti-diagonal; later ones would read the zero row 0
                 end = min(m, width)
                 diag = slice(m * width, m * width + end * stride, stride)
-                col = out[m] if c == levels - 1 else scratch
+                col = out[m]  # the top level's writes are the ones kept
                 np.subtract(low[m, :end], low_flat[diag], out=col[:end])  # j <= t
                 col[:end] += high_flat[diag]  # j > t
                 col[end:] = low[m, end:]
@@ -431,20 +426,22 @@ def _stored(build, args: tuple, n: int):
     table held at a size below n is rebuilt at n_max = max(n, 5/4 of held),
     so requests for n = 1..N in ascending order cost O(log N) builds.  When
     the store holds the same builder's rank r-1 table at a size >= n_max,
-    it passes that table as lower, and the build runs rank r alone from it;
-    otherwise lower is None, and the build runs ranks 1..r from the
-    all-zero rank 0.  The cells are the same either way, so a rank sweep
-    r = 2, 3, 4 builds each rank once, and no table is kept beyond one per
-    key.  The store holds tables and computes nothing, and build never
-    calls it, so every build is one call whose size is known up front.
+    and r <= n_max + 1, it passes that table as lower, and the build runs
+    rank r alone from it; otherwise lower is None, and the build runs ranks
+    1..r from the all-zero rank 0 (at most n_max + 1 of them).  This is the
+    one place that decides it.  The cells are the same either way, so a
+    rank sweep r = 2, 3, 4 builds each rank once, and no table is kept
+    beyond one per key.  The store holds tables and computes nothing, and
+    build never calls it, so every build is one call whose size is known up
+    front.
     """
     key = (build, *args)
     held, table = _TABLES.get(key, (-1, None))  # -1: nothing held
     if n <= held:
         return table
-    n = max(n, held * 5 // 4)
-    lower_held, lower = _TABLES.get((build, *args[:-1], args[-1] - 1), (-1, None))
-    table = build(*args, n, lower if lower_held >= n else None)
+    n, r = max(n, held * 5 // 4), args[-1]
+    lower_held, lower = _TABLES.get((build, *args[:-1], r - 1), (-1, None))
+    table = build(*args, n, lower if lower_held >= n and r <= n + 1 else None)
     _TABLES[key] = (n, table)
     return table
 

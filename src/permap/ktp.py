@@ -13,7 +13,11 @@ Stored tables index both families by exact's one threshold t, from 0 to
 the largest possible digest top_threshold(n_max, r, side): column t of
 u_r is k = t (fewer than r cycles longer than t), and column t of v_r is
 k = t + 1 (r-th shortest longer than t).  So v_r(0, n) = n!, which
-nothing reads, is not stored; shortest_table puts that row back.
+nothing reads, is not stored; shortest_table puts that row back.  The
+n = 0 cells of rank 1 break the fewer-than-r rule above: v_1(k, 0) = 1
+for every k >= 1, the recursion's base case (the empty permutation has no
+cycle shorter than k), where the rule gives 0, as v_r(k, 0) is for
+r >= 2.  No PMF reads n = 0.
 
 u_r obeys a proven recursion.  v_r (r >= 2) obeys a recursion with an
 additive correction term, conjectural beyond the ranges on which it has
@@ -41,12 +45,12 @@ anti-diagonal of the prefix sums as a strided view; it keeps a full
 value table for the requested rank only, and returns it as [n, t].
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
-of its own, held at a size >= n_max: it runs ranks 1..r from the all-zero
-rank 0, or rank r alone from that table, and never calls the store, which
-passes the table when it holds one.  Every table, exact or float, lives in
-exact's one store and grows by its one rule, and row n of each is read by
-exact's one differencing rule, as Fractions over n! or as a guarded float
-PMF.
+of its own, held at a size >= n_max, with r <= n_max + 1: it runs ranks
+1..r from the all-zero rank 0, or rank r alone from that table, and never
+calls the store, which alone decides when to pass the table.  Every
+table, exact or float, lives in exact's one store and grows by its one
+rule, and row n of each is read by exact's one differencing rule, as
+Fractions over n! or as a guarded float PMF.
 """
 
 from __future__ import annotations
@@ -76,20 +80,7 @@ class CycleCountTable:
 
 
 # ---------------------------------------------------------------------------
-# harmonic numbers, Stirling cycle numbers, the correction term
-
-_HARMONIC: dict[int, list[Fraction]] = {}
-
-
-def harmonic(m: int, power: int = 1) -> Fraction:
-    """Generalised harmonic number sum_{i=1}^{m} 1/i^power, exact."""
-    m, power = exact._whole(m, 0, "harmonic's m"), exact._whole(power, 0, "harmonic's power")
-    seq = _HARMONIC.setdefault(power, [Fraction(0)])
-    while len(seq) <= m:
-        i = len(seq)
-        seq.append(seq[-1] + Fraction(1, i**power))
-    return seq[m]
-
+# Stirling cycle numbers, the correction term
 
 _STIRLING: list[tuple[int, ...]] = [(1, 0, 0, 0, 0, 0)]  # row n holds c(n, 0..5)
 
@@ -151,12 +142,13 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     sum_{m<k} F(n, m) u_r(k, n-1-m) + sum_{k<=m<n} F(n, m) u_{r-1}(k, n-1-m)
     with each m raised by one; the difference telescopes to
     u_r(k, n) = n u_r(k, n-1) - F(n, k) [u_r(k, n-1-k) - u_{r-1}(k, n-1-k)].
-    Each column runs ranks 1..r in turn, from u_0 or from column k of
-    lower, a rank r-1 table held at a size >= n_max; an n-permutation has
-    at most n cycles, so ranks past n_max + 1 (every cell n!) are not run.
+    Each column runs ranks 1..r in turn from u_0, or rank r alone from
+    column k of lower, a rank r-1 table held at a size >= n_max, with
+    r <= n_max + 1; an n-permutation has at most n cycles, so ranks past
+    n_max + 1 (every cell n!) are not run.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    done = 0 if lower is None else min(r - 1, n_max + 1)  # ranks the held table ran
+    done = 0 if lower is None else r - 1  # ranks the held table ran
     rows = []
     for k in range(top_threshold(n_max, r, Side.LARGEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
@@ -230,7 +222,11 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
     Exact for r = 1; produced by the corrected recursion (conjectural) for
     ranks 2..4.  Row k = 0 counts all n! permutations and is not stored;
-    row k >= 1 is the stored column t = k - 1.
+    row k >= 1 is the stored column t = k - 1.  At n = 0, rank 1 counts
+    the empty permutation in every row (it has no cycle shorter than k),
+    where ranks 2..4 count 0 from k = 1 on: the base case of the
+    recursion, not the fewer-than-r rule of the module docstring.  No PMF
+    reads n = 0.
     """
     exact._check_rank(r, "shortest_table")
     if r > _MAX_RANK:
@@ -281,9 +277,10 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so
     e_1..e_3 are built once from the harmonic sums and row n of D_q is a
     reversed slice of one of them; no D table is held.  Ranks run from
-    q = 1, or rank r alone from the prefix sums of lower, a rank r-1 table
-    held at a size >= n_max, whose rows and columns up to this table's are
-    the bits the ranks below r would give.
+    q = 1 over the all-zero prefix sums of rank 0, or rank r alone from the
+    prefix sums of lower, a rank r-1 table held at a size >= n_max, whose
+    rows and columns up to this table's are the bits the ranks below r
+    would give.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
@@ -291,11 +288,10 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     width = top_threshold(n_max, r, Side.SMALLEST) + 1
     stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
-    cum_prev = prev_flat = None
+    cum_prev = np.zeros((n_max + 2, width))  # the prefix sums of the rank below
     if lower is not None:
-        cum_prev = np.zeros((n_max + 2, width))
         np.cumsum(lower[: n_max + 1, :width], axis=0, out=cum_prev[1:])
-        prev_flat = cum_prev.reshape(-1)
+    prev_flat = cum_prev.reshape(-1)
     for q in range(1 if lower is None else r, r + 1):
         cum = np.zeros((n_max + 2, width))
         cum[1] = 1.0 if q == 1 else 0.0

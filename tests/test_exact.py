@@ -300,12 +300,16 @@ def test_pmf_float_probabilities_lie_in_the_unit_interval() -> None:
 def test_mapping_chain_rows_do_not_depend_on_the_table_width() -> None:
     # each cell sums over the new component's size in one fixed order, so
     # row n of a table built for a larger n_max holds a one-size build's
-    # bits, and so does its scale tau_n: the read of row n is the same
+    # bits, and so does its scale tau_n: the read of row n is the same.
+    # Each one-size build starts from the one-size build of the rank below,
+    # where the store would (r <= n + 1)
     for side in (L, S):
+        below = {}
         for r in (1, 2, 3, 4):
             grown, grown_tau = _build_chain(M, side, r, 160)
             for n in range(1, 161):
-                alone, tau = _build_chain(M, side, r, n)
+                below[n] = _build_chain(M, side, r, n, below.get(n) if r <= n + 1 else None)
+                alone, tau = below[n]
                 assert np.array_equal(grown[n, : alone.shape[1]], alone[n]), (side, r, n)
                 assert grown_tau[n] == tau[n], (side, r, n)
 
@@ -405,13 +409,13 @@ def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
 
 def test_chain_from_the_rank_below_is_the_cold_chain_bit_for_bit() -> None:
     # the rank r-1 table of a larger, taller and wider build starts the
-    # rank r build at its top level; every cell and tau_n must keep the
-    # bits of the build from the all-zero rank 0, the held table must not
-    # change, and past r - 1 >= n_max + 1 the held table is the answer
+    # rank r build at its top level, for r <= n_max + 1 as the store passes
+    # it; every cell and tau_n must keep the bits of the build from the
+    # all-zero rank 0, and the held table must not change
     for kind in (P, M):
         for side in (L, S):
             for n_max in (1, 2, 3, 5, 37, 200):
-                for r in (2, 3, 4, 5, 6):
+                for r in range(2, min(7, n_max + 2)):
                     lower = _build_chain(kind, side, r - 1, n_max * 5 // 4 + 2)
                     held = lower[0].copy()
                     cold, cold_tau = _build_chain(kind, side, r, n_max)

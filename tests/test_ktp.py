@@ -14,7 +14,6 @@ from permap.exact import PrecisionError
 from permap.kinds import ObjectKind, Side
 from permap.ktp import (
     delta,
-    harmonic,
     longest_table,
     pmf_from_tables,
     pmf_from_tables_float,
@@ -30,7 +29,37 @@ S = Side.SMALLEST
 
 
 # ---------------------------------------------------------------------------
-# harmonic numbers
+# harmonic numbers: the exact reference forms of the correction term
+
+_HARMONIC: dict[int, list[Fraction]] = {}
+
+
+def harmonic(m: int, power: int = 1) -> Fraction:
+    """Generalised harmonic number sum_{i=1}^{m} 1/i^power, exact.
+
+    Each power's sums are one grown list, not a recursion: a test reads
+    m = 1499, past the default recursion limit.
+    """
+    seq = _HARMONIC.setdefault(power, [Fraction(0)])
+    while len(seq) <= m:
+        i = len(seq)
+        seq.append(seq[-1] + Fraction(1, i**power))
+    return seq[m]
+
+
+@cache
+def harmonic_e(q: int, m: int) -> Fraction:
+    """e_q(1, 1/2, ..., 1/m), from the power sums harmonic(m, i) by Newton's identities.
+
+    j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i.  delta multiplies Stirling
+    numbers instead, so (n-1)! e_{r-1}(1, ..., 1/(n-k)) is an independent
+    form of it.
+    """
+    p = {i: harmonic(m, i) for i in range(1, q + 1)}
+    e = [Fraction(1)]
+    for j in range(1, q + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i] for i in range(1, j + 1)) / j)
+    return e[q]
 
 
 def test_harmonic_values() -> None:
@@ -194,21 +223,6 @@ def test_delta_closed_form_second_rank() -> None:
             assert delta(2, k, n) == want
 
 
-@cache
-def harmonic_e(q: int, m: int) -> Fraction:
-    """e_q(1, 1/2, ..., 1/m), from the power sums harmonic(m, i) by Newton's identities.
-
-    j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i.  delta multiplies Stirling
-    numbers instead, so (n-1)! e_{r-1}(1, ..., 1/(n-k)) is an independent
-    form of it.
-    """
-    p = {i: harmonic(m, i) for i in range(1, q + 1)}
-    e = [Fraction(1)]
-    for j in range(1, q + 1):
-        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i] for i in range(1, j + 1)) / j)
-    return e[q]
-
-
 def test_delta_matches_stirling_at_k_one() -> None:
     # delta(r, 1, n) = c(n, r) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-1))
     for r in (2, 3, 4):
@@ -281,12 +295,9 @@ def test_stirling_recurrence() -> None:
     lambda v: delta(v, 1, 4),
     lambda v: delta(2, v, 4),
     lambda v: delta(2, 1, v),
-    lambda v: harmonic(v),
-    lambda v: harmonic(3, v),
     lambda v: stirling_cycle(v, 2),
     lambda v: stirling_cycle(4, v),
-], ids=["delta-r", "delta-k", "delta-n", "harmonic-m", "harmonic-power", "stirling-n",
-        "stirling-k"])
+], ids=["delta-r", "delta-k", "delta-n", "stirling-n", "stirling-k"])
 def test_helpers_refuse_bools_and_non_integers(call) -> None:
     # True == 1 would be served as 1, and a float index fails inside the tables
     for bad in (True, False, 2.0, np.float64(2), Fraction(2), "2", None):
@@ -522,6 +533,28 @@ def test_rank_order_does_not_move_a_bit(monkeypatch) -> None:
         assert any(warm) == (order != (4, 3, 2, 1)), order  # a smaller held rank is unused
     for got in results[1:]:
         assert got == results[0]
+
+
+def test_no_build_past_rank_n_plus_one_starts_from_the_rank_below(monkeypatch) -> None:
+    # past rank n + 1 every cell at sizes <= n is settled, so the store
+    # builds from rank 0 even though it holds the rank below at size n
+    monkeypatch.setattr(exact, "_TABLES", {})
+    builds = []
+    for module, name in ((exact, "_build_chain"), (ktp, "_u_rows")):
+        def recorded(*args, build=getattr(module, name)):
+            builds.append((build.__name__, args[-3], args[-2], args[-1] is None))
+            return build(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    n = 5
+    for r in (6, 7, 8):
+        for kind in (P, M):
+            for side in (L, S):
+                assert exact.pmf_float(kind, n, r, side).probs == (1.0,), (kind, side, r)
+        assert pmf_from_tables(r, n, L).probs == (Fraction(1),), r
+    assert len(builds) == 15
+    for name, r, n_max, cold in builds:
+        assert n_max == n and (cold or r <= n_max + 1), (name, r)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from scipy.integrate import quad
 from permap import exact
 from permap.asymptotics import density_f, density_g, dickman, largest_cdf
 from permap.kinds import ObjectKind, Side, connected_count, total_count
-from permap.ktp import delta, harmonic
+from permap.ktp import delta
 from permap.stats import ComponentPMF, summarize
 from test_kinds import first_component_split, first_component_split_exact
-from test_ktp import harmonic_e
+from test_ktp import harmonic, harmonic_e
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
