@@ -16,8 +16,10 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from numpy.polynomial.chebyshev import Chebyshev
 
+from permap import asymptotics
 from permap.asymptotics import (
     DickmanTable,
     constants_catalog,
@@ -172,6 +174,42 @@ def test_dickman_rejects_out_of_domain() -> None:
         dickman(1, -0.5)
     with pytest.raises(ValueError):
         dickman(1, 40.5)
+
+
+def _chebyshev_object_pieces(r: int, lower: tuple | None) -> tuple:
+    """rho_r's pieces built with Chebyshev objects and chebinterpolate: the reference."""
+    pieces = [Chebyshev([1.0], domain=[0.0, 1.0])]
+    for m in range(1, asymptotics._X_MAX):
+        dom = [float(m), float(m + 1)]
+        own_prev = pieces[m - 1]
+        low_prev = lower[m - 1] if lower is not None else None
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            t = 0.5 * ((dom[1] - dom[0]) * u + dom[0] + dom[1])
+            val = own_prev(t - 1.0)
+            if low_prev is not None:
+                val = val - low_prev(t - 1.0)
+            return val / t
+
+        hpoly = Chebyshev(chebyshev.chebinterpolate(integrand, asymptotics._DEGREE), domain=dom)
+        start = Chebyshev([float(own_prev(float(m)))], domain=dom)
+        pieces.append(start - hpoly.integ(lbnd=float(m)))
+    return tuple(pieces)
+
+
+def test_dickman_pieces_are_the_chebyshev_object_build_bit_for_bit() -> None:
+    # every limit constant read from rho_r rests on these coefficients
+    lower = None
+    for r in (1, 2, 3, 4):
+        want = _chebyshev_object_pieces(r, lower)
+        got = asymptotics._table(r).pieces
+        assert len(got) == len(want) == asymptotics._X_MAX
+        for piece, ref in zip(got, want):
+            assert isinstance(piece, Chebyshev)
+            assert piece.coef.tobytes() == ref.coef.tobytes()
+            assert piece.domain.tobytes() == ref.domain.tobytes()
+            assert piece.window.tobytes() == ref.window.tobytes()
+        lower = want
 
 
 def test_dickman_table_clamps_rounding_and_refuses_a_broken_piece() -> None:
