@@ -1,0 +1,125 @@
+"""SHA-256 digests of the tables and paper outputs this checkout computes.
+
+    python3 tools/digest.py > digest.txt
+
+Prints one line per item, "<sha256>  <item>": the threshold-chain tables
+(exact._build_chain, both kinds and sides, ranks 1..4, built cold from
+rank 0 and warm from a held rank r-1 table), the float shortest-side
+tables (ktp._v_norm, cold and warm), the pieces of each Dickman table, and
+the stdout and exit code of every command that prints a published table
+or constant.  Two checkouts compute the same numbers when their outputs
+have no diff:
+
+    diff <(python3 tools/digest.py) <(python3 /other/checkout/tools/digest.py)
+
+The script imports permap from the ``src`` beside it and runs each
+command in a fresh interpreter, so the store starts empty each time.
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from permap import asymptotics, exact, ktp  # noqa: E402
+from permap.kinds import ObjectKind, Side  # noqa: E402
+
+RANKS = (1, 2, 3, 4)
+# the paper's largest sizes, plus small ones where ranks pass n + 1 or a
+# table is one column wide
+CHAIN_SIZES = {ObjectKind.PERMUTATION: (1, 2, 3, 5, 37, 200, 1500),
+               ObjectKind.MAPPING: (1, 2, 3, 5, 37, 200, 400)}
+V_NORM_SIZES = (1, 2, 3, 5, 37, 200, 1500)
+
+PERM_SIZES = "1000,1500,2000,2500"
+COMMANDS = [
+    *(["table", "--kind", "permutation", "--rank", str(r), "--n", PERM_SIZES, *engine,
+       "--format", "json"] for r in (2, 3, 4) for engine in (["--engine", "ktp-float"], [])),
+    *(["table", "--kind", "mapping", "--rank", str(r), "--n", "100,200,300,400",
+       "--format", "json"] for r in (2, 3, 4)),
+    ["table", "--kind", "mapping", "--rank", "2", "--n", "432,433,434,435", "--format", "json"],
+    ["constants", "--format", "json"],
+    ["verify", "--suite", "all", "--format", "json"],
+]
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _held(n_max: int) -> tuple[int, ...]:
+    """Sizes of a held rank r-1 table for a build at n_max: n_max itself and larger."""
+    return (n_max, n_max + n_max // 4 + 1)
+
+
+def chain_lines() -> list[str]:
+    lines = []
+    for kind, sizes in CHAIN_SIZES.items():
+        for side in Side:
+            for r in RANKS:
+                cold = [exact._build_chain(kind, side, r, n) for n in sizes]
+                lines.append(f"{_sha(*(a for pair in cold for a in pair))}  "
+                             f"_build_chain {kind.value} {side.value} r={r} cold")
+                if r == 1:
+                    continue
+                warm = [exact._build_chain(kind, side, r, n,
+                                           exact._build_chain(kind, side, r - 1, held))
+                        for n in sizes if r <= n + 1 for held in _held(n)]
+                lines.append(f"{_sha(*(a for pair in warm for a in pair))}  "
+                             f"_build_chain {kind.value} {side.value} r={r} warm")
+    return lines
+
+
+def v_norm_lines() -> list[str]:
+    lines = []
+    for r in RANKS:
+        cold = [ktp._v_norm(r, n) for n in V_NORM_SIZES]
+        lines.append(f"{_sha(*cold)}  _v_norm r={r} cold")
+        if r == 1:
+            continue
+        warm = [ktp._v_norm(r, n, ktp._v_norm(r - 1, held))
+                for n in V_NORM_SIZES if r <= n + 1 for held in _held(n)]
+        lines.append(f"{_sha(*warm)}  _v_norm r={r} warm")
+    return lines
+
+
+def dickman_lines() -> list[str]:
+    lines = []
+    for r in RANKS:
+        pieces = asymptotics._table(r).pieces
+        lines.append(f"{_sha(*(a for p in pieces for a in (p.coef, p.domain, p.window)))}  "
+                     f"dickman r={r}")
+    return lines
+
+
+def command_lines() -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    lines = []
+    for argv in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "permap.cli", *argv], env=env,
+                              capture_output=True, check=False)
+        h = hashlib.sha256(done.stdout).hexdigest()
+        lines.append(f"{h}  exit={done.returncode} permap {' '.join(argv)}")
+    return lines
+
+
+def main() -> int:
+    for group in (chain_lines, v_norm_lines, dickman_lines, command_lines):
+        for line in group():
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
