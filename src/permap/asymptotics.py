@@ -31,6 +31,7 @@ from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
+from numpy.polynomial import polyutils as pu
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -80,24 +81,39 @@ class DickmanTable:
 
 
 def _build_table(r: int, x_max: int) -> DickmanTable:
-    lower = _table(r - 1) if r > 1 else None
-    pieces: list[Chebyshev] = [Chebyshev([1.0], domain=[0.0, 1.0])]
+    """rho_r on [0, x_max], one piece per unit interval, each from the one before.
+
+    On [m, m+1], rho_r(x) = rho_r(m) - integral from m to x of
+    (rho_r(t-1) - rho_{r-1}(t-1))/t dt: the integrand is interpolated at
+    the degree + 1 Chebyshev points of the first kind (chebinterpolate's
+    nodes, Vandermonde matrix and scaling), integrated from m and
+    subtracted from rho_r(m).  The steps run on coefficient arrays and
+    map x to each piece's window by mapparms, as the Chebyshev class
+    does, with the same bits; only the finished pieces are wrapped.  The
+    previous piece is evaluated once, at the nodes and at x = m.
+    """
+    lower = _table(r - 1).pieces if r > 1 else None
+    window = (-1.0, 1.0)  # Chebyshev's default
+    nodes = chebyshev.chebpts1(_DEGREE + 1)
+    vander = chebyshev.chebvander(nodes, _DEGREE)
+    coefs = [np.array([1.0])]  # rho_r = 1 on [0, 1]
     for m in range(1, x_max):
-        dom = [float(m), float(m + 1)]
-        own_prev = pieces[m - 1]
-        low_prev = lower.pieces[m - 1] if lower is not None else None
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            t = 0.5 * ((dom[1] - dom[0]) * u + dom[0] + dom[1])
-            val = own_prev(t - 1.0)
-            if low_prev is not None:
-                val = val - low_prev(t - 1.0)
-            return val / t
-
-        hpoly = Chebyshev(chebyshev.chebinterpolate(integrand, _DEGREE), domain=dom)
-        start = Chebyshev([float(own_prev(float(m)))], domain=dom)
-        pieces.append(start - hpoly.integ(lbnd=float(m)))
-    return DickmanTable(r=r, x_max=float(x_max), pieces=tuple(pieces))
+        lo, hi = float(m), float(m + 1)
+        t = 0.5 * ((hi - lo) * nodes + lo + hi)
+        # t - 1 and m in the window of the previous pieces, which cover [m-1, m]
+        at = pu.mapdomain(np.append(t - 1.0, lo), (lo - 1.0, lo), window)
+        own = chebyshev.chebval(at, coefs[-1])
+        val = own[:-1]
+        if lower is not None:
+            val = val - chebyshev.chebval(at[:-1], lower[m - 1].coef)
+        c = np.dot(vander.T, val / t)
+        c[0] /= _DEGREE + 1
+        c[1:] /= 0.5 * (_DEGREE + 1)
+        off, scl = pu.mapparms((lo, hi), window)
+        coefs.append(chebyshev.chebsub(own[-1:], chebyshev.chebint(c, lbnd=off + scl * lo,
+                                                                   scl=1.0 / scl)))
+    pieces = tuple(Chebyshev(c, domain=(float(m), float(m + 1))) for m, c in enumerate(coefs))
+    return DickmanTable(r=r, x_max=float(x_max), pieces=pieces)
 
 
 @cache

@@ -349,7 +349,12 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     >= n_max, with r <= n_max + 1, holds level r-2 on rows <= n_max and
     columns <= this table's last; level r-1 is run from it instead of from
     the all-zero level -1, with the same bits, since no cell depends on the
-    table's size.
+    table's size.  The permutation step reads that level as prefix sums,
+    built row by row inside the step loop one row ahead of the reads (step
+    m reads rows <= m): the same sequential sums as np.cumsum(axis=0), with
+    the same bits, but np.cumsum down the columns of the strided slice of a
+    wider held table took 34-48 ms at 1501 x 1499, and the row adds take
+    5-8 ms.
 
     A new component of size j <= t leads to the same level on the largest
     side and to level c-1 on the smallest; a larger one the other way
@@ -374,12 +379,10 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
         mask = np.arange(1, rows)[:, None] <= np.arange(width)[None, :]  # mask[j-1, t]: j <= t
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
         shape = (rows, width)
-    done, level = 0, np.zeros(shape)  # levels run so far; level -1 is identically zero
-    if lower is not None:  # level r - 2, read only; the uniform step wants prefix sums
+    done, level, held = 0, np.zeros(shape), None  # levels run so far; level -1 is all zero
+    if lower is not None:  # level r - 2, read only
         done, held = r - 1, lower[0][:rows, :width]
-        if uniform:
-            np.cumsum(held, axis=0, out=level[1:])
-        else:
+        if not uniform:
             level = held
     for c in range(done, min(r, rows)):
         prev, level = level, np.zeros(shape)
@@ -388,6 +391,8 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
             level[1] = 1.0  # the empty object
             low_flat, high_flat = low.reshape(-1), high.reshape(-1)
             for m in range(1, rows):
+                if held is not None:  # the held level's prefix sums, one row ahead of the reads
+                    np.add(prev[m - 1], held[m - 1], out=prev[m])
                 # columns t < end read rows m - t >= 1 of the prefix sums, one
                 # anti-diagonal; later ones would read the zero row 0
                 end = min(m, width)
@@ -406,7 +411,13 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
                 np.copyto(block, high[m - 1 :: -1])
                 np.copyto(block, low[m - 1 :: -1], where=mask[:m])
                 block *= q[1 : m + 1, None]
-                np.sum(block, axis=0, out=level[m])  # row by row: the same order at any width
+                # row by row: the same order at any width.  np.einsum('j,jt->t',
+                # q[1:m+1], block) halved the n = 300, r = 2 builds (largest
+                # 0.035 -> 0.017 s, smallest 0.067 -> 0.034 s), but its sums
+                # depend on the width: the one-column n_max = 5, r = 6 largest
+                # table differs between a cold build and one started from the
+                # held two-column rank 5 table
+                np.sum(block, axis=0, out=level[m])
                 level[m] /= m
     return (out if uniform else level), tau
 

@@ -42,7 +42,12 @@ pmf_from_tables_float is the check of the conjectural recursion against
 the proven chain.  It runs one rank at a time over row-major [n, t]
 prefix sums, one contiguous row per size n, whose step reads one
 anti-diagonal of the prefix sums as a strided view; it keeps a full
-value table for the requested rank only, and returns it as [n, t].
+value table for the requested rank only, and returns it as [n, t].  A
+held rank r-1 table is turned into prefix sums row by row inside the
+step loop, one row ahead of the reads, by the same sequential sums as
+np.cumsum(axis=0), not by np.cumsum itself: summing down the columns of
+the strided slice of a wider held table cost 34-48 ms at 1501 x 1499,
+the row adds 5-8 ms, with the same bits.
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
 of its own, held at a size >= n_max, with r <= n_max + 1: it runs ranks
@@ -276,11 +281,17 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     are the only full table.  The correction D_q[k, n] = delta(q, k, n)/n!
     is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so
     e_1..e_3 are built once from the harmonic sums and row n of D_q is a
-    reversed slice of one of them; no D table is held.  Ranks run from
-    q = 1 over the all-zero prefix sums of rank 0, or rank r alone from the
-    prefix sums of lower, a rank r-1 table held at a size >= n_max, whose
-    rows and columns up to this table's are the bits the ranks below r
-    would give.
+    slice of one of them, reversed once up front; no D table is held.
+    Ranks run from q = 1 over the all-zero prefix sums of rank 0, or rank
+    r alone from the prefix sums of lower, a rank r-1 table held at a size
+    >= n_max, whose rows and columns up to this table's are the bits the
+    ranks below r would give.  Step n reads prefix rows <= n only, so it
+    makes prefix row n first, from row n-1 and lower's row n-1: the same
+    sequential sums as np.cumsum(axis=0), with the same bits, but
+    np.cumsum down the columns of that strided slice took 34-48 ms at
+    1501 x 1499, and the row adds take 5-8 ms.  Each step writes through
+    out= into the tables' rows and one scratch row, and allocates no
+    array memory.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
@@ -288,9 +299,10 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     width = top_threshold(n_max, r, Side.SMALLEST) + 1
     stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
+    back = [values[::-1].copy() for values in e]  # back[i] = e[n_max - i]
+    d = np.empty(width)  # D_q[t+1, n] for t < end
     cum_prev = np.zeros((n_max + 2, width))  # the prefix sums of the rank below
-    if lower is not None:
-        np.cumsum(lower[: n_max + 1, :width], axis=0, out=cum_prev[1:])
+    held = None if lower is None else lower[: n_max + 1, :width]
     prev_flat = cum_prev.reshape(-1)
     for q in range(1 if lower is None else r, r + 1):
         cum = np.zeros((n_max + 2, width))
@@ -302,16 +314,20 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
         else:
             row = np.zeros(width)  # entries past end are never written: end grows with n
         for n in range(1, n_max + 1):
+            if held is not None:  # the held rank's prefix sums, one row ahead of the reads
+                np.add(cum_prev[n - 1], held[n - 1], out=cum_prev[n])
             end = min(top_threshold(n, q, Side.SMALLEST), width)
             out = z[n] if q == r else row
             if end:  # cum[n-t, t] for t < end: an anti-diagonal
-                diag = slice(n * width, n * width + end * stride, stride)
-                own = flat[diag]
+                diag, cell = slice(n * width, n * width + end * stride, stride), out[:end]
                 if q == 1:
-                    out[:end] = own / n
-                else:
-                    d = e[q - 2][n - end : n][::-1] / n  # D_q[t+1, n] for t < end
-                    out[:end] = d + (cum_prev[n, :end] - prev_flat[diag] + own) / n
+                    np.divide(flat[diag], n, out=cell)
+                else:  # (cum_prev[n] - cum_prev[n-t] + cum[n-t]) / n + D_q[t+1, n]
+                    np.divide(back[q - 2][n_max + 1 - n : n_max + 1 - n + end], n, out=d[:end])
+                    np.subtract(cum_prev[n, :end], prev_flat[diag], out=cell)
+                    cell += flat[diag]
+                    cell /= n
+                    cell += d[:end]
             np.add(cum[n], out, out=cum[n + 1])
         cum_prev, prev_flat = cum, flat
     return z
