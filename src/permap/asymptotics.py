@@ -93,7 +93,7 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
     previous piece is evaluated once, at the nodes and at x = m.
     """
     lower = _table(r - 1).pieces if r > 1 else None
-    window = (-1.0, 1.0)  # Chebyshev's default
+    window = Chebyshev.window
     nodes = chebyshev.chebpts1(_DEGREE + 1)
     vander = chebyshev.chebvander(nodes, _DEGREE)
     coefs = [np.array([1.0])]  # rho_r = 1 on [0, 1]
@@ -110,8 +110,8 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
         c[0] /= _DEGREE + 1
         c[1:] /= 0.5 * (_DEGREE + 1)
         off, scl = pu.mapparms((lo, hi), window)
-        coefs.append(chebyshev.chebsub(own[-1:], chebyshev.chebint(c, lbnd=off + scl * lo,
-                                                                   scl=1.0 / scl)))
+        integral = chebyshev.chebint(c, lbnd=off + scl * lo, scl=1.0 / scl)
+        coefs.append(chebyshev.chebsub(own[-1:], integral))
     pieces = tuple(Chebyshev(c, domain=(float(m), float(m + 1))) for m, c in enumerate(coefs))
     return DickmanTable(r=r, x_max=float(x_max), pieces=pieces)
 
