@@ -353,8 +353,8 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     built row by row inside the step loop one row ahead of the reads (step
     m reads rows <= m): the same sequential sums as np.cumsum(axis=0), with
     the same bits, but np.cumsum down the columns of the strided slice of a
-    wider held table took 34-48 ms at 1501 x 1499, and the row adds take
-    5-8 ms.
+    wider held table took 34-48 ms at 1501 x 1499 on a 2-CPU Xeon, and
+    the row adds take 5-8 ms.
 
     A new component of size j <= t leads to the same level on the largest
     side and to level c-1 on the smallest; a larger one the other way
@@ -412,11 +412,11 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
                 np.copyto(block, low[m - 1 :: -1], where=mask[:m])
                 block *= q[1 : m + 1, None]
                 # row by row: the same order at any width.  np.einsum('j,jt->t',
-                # q[1:m+1], block) halved the n = 300, r = 2 builds (largest
-                # 0.035 -> 0.017 s, smallest 0.067 -> 0.034 s), but its sums
-                # depend on the width: the one-column n_max = 5, r = 6 largest
-                # table differs between a cold build and one started from the
-                # held two-column rank 5 table
+                # q[1:m+1], block) halved the n = 300, r = 2 builds on a 2-CPU
+                # Xeon (largest 0.035 -> 0.017 s, smallest 0.067 -> 0.034 s),
+                # but its sums depend on the width: the one-column n_max = 5,
+                # r = 6 largest table differs between a cold build and one
+                # started from the held two-column rank 5 table
                 np.sum(block, axis=0, out=level[m])
                 level[m] /= m
     return (out if uniform else level), tau

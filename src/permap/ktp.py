@@ -46,8 +46,8 @@ value table for the requested rank only, and returns it as [n, t].  A
 held rank r-1 table is turned into prefix sums row by row inside the
 step loop, one row ahead of the reads, by the same sequential sums as
 np.cumsum(axis=0), not by np.cumsum itself: summing down the columns of
-the strided slice of a wider held table cost 34-48 ms at 1501 x 1499,
-the row adds 5-8 ms, with the same bits.
+the strided slice of a wider held table cost 34-48 ms at 1501 x 1499
+on a 2-CPU Xeon, the row adds 5-8 ms, with the same bits.
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
 of its own, held at a size >= n_max, with r <= n_max + 1: it runs ranks
@@ -289,9 +289,9 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     makes prefix row n first, from row n-1 and lower's row n-1: the same
     sequential sums as np.cumsum(axis=0), with the same bits, but
     np.cumsum down the columns of that strided slice took 34-48 ms at
-    1501 x 1499, and the row adds take 5-8 ms.  Each step writes through
-    out= into the tables' rows and one scratch row, and allocates no
-    array memory.
+    1501 x 1499 on a 2-CPU Xeon, and the row adds take 5-8 ms.  Each
+    step writes through out= into the tables' rows and one scratch row,
+    and allocates no array memory.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
