@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from scipy.special import exp1
 
 from .exact import PrecisionError
-from .kinds import Side
+from .kinds import Side, whole
 
 _EULER_GAMMA = float(np.euler_gamma)
 _X_MAX = 40  # xi_4 needs rho_4 at 1/xi_4 ~ 36.9
@@ -118,13 +118,12 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
 
 @cache
 def _table(r: int) -> DickmanTable:
-    if r < 1 or r > 4:
-        raise ValueError("order must be in 1..4")
     return _build_table(r, _X_MAX)
 
 
 def dickman(r: int, x: float) -> float:
     """rho_r(x) for 1 <= r <= 4 and 0 <= x <= 40, absolute error <= 1e-10."""
+    r = whole(r, 1, "dickman: order r", 4)
     if x < 0.0:
         raise ValueError("dickman requires x >= 0")
     return _table(r).value(float(x))
@@ -178,6 +177,7 @@ def mode_x0() -> float:
 
 def median_xi(r: int) -> float:
     """Limiting scaled median of the r-th longest cycle: rho_r(1/xi) = 1/2."""
+    r = whole(r, 1, "median_xi: order r", 4)
     table = _table(r)
     lo, hi = float(max(r, 1)), table.x_max - 1e-9
     root = brentq(lambda y: table.value(y) - 0.5, lo, hi, xtol=1e-13, rtol=8.9e-16)
@@ -214,20 +214,16 @@ def _quad_pair(f) -> tuple[float, float]:
     return value, err
 
 
-def _check_params(a, r: int, h: int) -> Fraction:
-    a = Fraction(a)
-    if a not in (Fraction(1), Fraction(1, 2)):
-        raise ValueError("exp-log parameter must be 1 or 1/2")
-    if not 2 <= r <= 4:
-        raise ValueError("rank must be in 2..4")
-    if h not in (1, 2):
-        raise ValueError("moment height must be 1 or 2")
-    return a
+def _check_params(a, r: int, h: int, what: str) -> tuple[Fraction, int, int]:
+    """a as a Fraction, 1 or 1/2 (never a bool), and r in 2..4, h in 1..2 as ints."""
+    if isinstance(a, bool) or Fraction(a) not in (Fraction(1), Fraction(1, 2)):
+        raise ValueError(f"{what}: exp-log parameter a must be 1 or 1/2, got {a!r}")
+    return Fraction(a), whole(r, 2, f"{what}: rank r", 4), whole(h, 1, f"{what}: height h", 2)
 
 
 def moment_L(a, r: int, h: int) -> MomentConstant:
     """Limit constant of the normalised h-th moment, r-th largest component."""
-    a = _check_params(a, r, h)
+    a, r, h = _check_params(a, r, h, "moment_L")
     key = (Side.LARGEST, a, r, h)
     if key not in _MOMENTS:
         af = float(a)
@@ -251,7 +247,7 @@ def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
     x^{h-1} exp[a E(x) - x].  corrected=True applies the sqrt(2) factor that
     the mapping (a = 1/2) statistics empirically need.
     """
-    a = _check_params(a, r, h)
+    a, r, h = _check_params(a, r, h, "moment_S")
     if Fraction(h) < a:
         raise ValueError("moment height below the exp-log parameter diverges")
     if corrected and a != Fraction(1, 2):

@@ -27,6 +27,12 @@ cover), an --output path that cannot be written (checked up front), or
 a request too large for the memory at hand (MemoryError); 3 a precision
 guard failed (PrecisionError: a float engine's mass-sum or probability-range
 check, or a quadrature error above its tolerance).
+
+Every integer argument, the library's and table's --rank and --n alike,
+follows one rule (kinds.whole): an int in its range, never a bool or a
+float.  A refusal is the line "error: <what> must be an int in low..high,
+got X" (">= low" where there is no upper bound), such as "error: --rank
+must be an int >= 1, got 0", and exit code 2.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, exact, ktp, oracle
-from .kinds import ObjectKind, Side, connected_count
+from .kinds import ObjectKind, Side, connected_count, whole
 from .stats import summarize
 
 _KINDS = {"permute": ObjectKind.PERMUTATION, "permutation": ObjectKind.PERMUTATION,
@@ -345,11 +351,10 @@ def main(argv=None) -> int:
     try:
         _check_output(args.output)
         if args.command == "table":
-            if args.rank < 1:
-                raise ConfigError("rank must be a positive integer")
-            if any(n < 1 for n in args.n):
-                raise ConfigError("sizes must be positive integers")
             try:
+                whole(args.rank, 1, "--rank")
+                for n in args.n:
+                    whole(n, 1, "--n: size")
                 return _cmd_table(args)
             except ValueError as exc:  # a request the library cannot serve
                 raise ConfigError(str(exc)) from None

@@ -59,7 +59,10 @@ results do not depend on call order.
 
 Engines keyed by (kind, side) share module-level memo tables, and every
 grown table of this module and of ktp lives in one store (_stored) with
-one grow rule; create none of your own state here.  A table builder is a
+one grow rule.  The one exception is ktp's Stirling cycle table
+(_STIRLING): _stirling_rows appends its rows one at a time by their
+recurrence, and never rebuilds them.  Create none of your own state
+here.  A table builder is a
 pure function of its rank, n_max and an optional rank r-1 table of its own
 builder, held at a size >= n_max, with r <= n_max + 1: it runs ranks 1..r
 from the all-zero rank 0, or rank r alone from that table, and never calls
@@ -82,7 +85,6 @@ at the top threshold on the smallest side.
 
 from __future__ import annotations
 
-import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -92,7 +94,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import ObjectKind, Side, connected_count, exp_log_weights, total_count
+from .kinds import (ObjectKind, Side, check_kind, connected_count, exp_log_weights, total_count,
+                    whole)
 from .stats import ComponentPMF
 
 INFINITY: float = float("inf")
@@ -214,8 +217,8 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
-    _check_kind(kind, side, "a row polynomial")
-    n = _whole(n, 0, "size n")  # the big-integer recursion must not run on numpy ints
+    check_kind(kind, side, "a row polynomial")
+    n = whole(n, 0, "size n")  # the big-integer recursion must not run on numpy ints
     window = tuple(sorted(ranks))
     if not window:
         raise ValueError("rank window must have at least one entry")
@@ -261,45 +264,21 @@ def top_threshold(n: int, r: int, side: Side) -> int:
 
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
-    return top_threshold(n, r, side) + 1
+    return top_threshold(whole(n, 0, "support_length: size n"),
+                         whole(r, 1, "support_length: rank r"), side) + 1
 
 
-def _whole(value, low: int, what: str) -> int:
-    """value as an int >= low, numpy ints included; a bool or a non-integer is refused.
-
-    True == 1 would be served, and stored, as 1 (numpy reads table[True] as
-    a mask), and a float would fail deep inside a builder.
-    """
-    try:
-        whole = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        whole = None
-    if whole is None or whole < low:
-        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
-    return whole
-
-
-def _check_kind(kind: ObjectKind, side: Side, what: str) -> None:
-    """Refuse a kind or side that is not a member of its enum.
-
-    Every branch tests them with `is`: a string would be served as the
-    other kind or side, and stored under a key of its own.
-    """
-    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
-        raise ValueError(f"{what} requires an ObjectKind and a Side, got {kind!r}, {side!r}")
-
-
-def _check_rank(r: int, what: str, n: int = 1, kind: ObjectKind = ObjectKind.PERMUTATION,
-                side: Side = Side.LARGEST) -> None:
+def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side,
+                r_max: int | None = None) -> None:
     """Refuse a bad request before it reaches a builder or the store.
 
-    The rank r and size n must be ints >= 1 (see _whole), kind and side
-    members of their enums (see _check_kind).  ktp's public tables pass no
-    n, kind or side: their n_max may be 0.
+    kind and side must be members of their enums, the size n an int >= 1
+    and the rank r an int in 1..r_max (no bound if r_max is None), by the
+    one rule of kinds.whole and kinds.check_kind.
     """
-    _check_kind(kind, side, what)
-    _whole(r, 1, f"{what}: rank r")
-    _whole(n, 1, f"{what}: size n")
+    check_kind(kind, side, what)
+    whole(r, 1, f"{what}: rank r", r_max)
+    whole(n, 1, f"{what}: size n")
 
 
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:

@@ -21,6 +21,10 @@ With q_j = c_j e^-j/(j-1)!, which tends to a, and tau_m = t_m e^-m/m!, the
 lowest label's component has size j with probability q_j tau_{m-j}/(m tau_m).
 Permutations have q = tau = 1; mappings q_j = P{Poisson(j) < j} and
 tau_m = m^m e^-m/m!.
+
+Every route imports this module, so it is also the one home of the
+argument rule that every public entry point applies: whole for integer
+arguments and check_kind for the kind and side.
 """
 
 from __future__ import annotations
@@ -46,15 +50,44 @@ class Side(Enum):
     SMALLEST = "smallest"
 
 
-@lru_cache(maxsize=None)
+def whole(value, low: int, what: str, high: int | None = None) -> int:
+    """value as an int in low..high (no upper bound if high is None), numpy ints included.
+
+    The one argument rule of every public route, applied before any store,
+    memo or cache is touched: a bool, a non-integer or a value out of range
+    is refused with a ValueError whose message names what.  True == 1
+    would be served, and cached, as 1 (numpy reads table[True] as a mask),
+    and a float would fail deep inside a builder.
+    """
+    try:
+        got = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        got = None
+    if got is None or got < low or (high is not None and got > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be an int {span}, got {value!r}")
+    return got
+
+
+def check_kind(kind: ObjectKind, side: Side, what: str) -> None:
+    """Refuse a kind or side that is not a member of its enum.
+
+    Every branch tests them with `is`: a string would be served as the
+    other kind or side, and stored under a key of its own.
+    """
+    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
+        raise ValueError(f"{what} requires an ObjectKind and a Side, got {kind!r}, {side!r}")
+
+
+# typed: a bool or a float equal to a cached int (True == 1.0 == 1) would be
+# served that int's count without reaching the check
+@lru_cache(maxsize=None, typed=True)
 def connected_count(kind: ObjectKind, n: int) -> int:
     """Number of connected objects of the given kind on n labelled nodes.
 
     n must be >= 1: there is no empty connected object.
     """
-    n = operator.index(n)  # numpy ints overflow here, and would be cached as n
-    if n < 1:
-        raise ValueError(f"connected_count requires n >= 1, got {n}")
+    n = whole(n, 1, "connected_count: size n")  # numpy ints overflow here
     if kind is ObjectKind.PERMUTATION:
         return math.factorial(n - 1)
     # Horner in n: term j is a_i * n^i with i = n - j and a_i = (n-1)!/i!
@@ -65,12 +98,10 @@ def connected_count(kind: ObjectKind, n: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # as connected_count
 def total_count(kind: ObjectKind, n: int) -> int:
     """Total number of objects of the given kind on n labelled nodes (t_0 = 1)."""
-    n = operator.index(n)  # as in connected_count
-    if n < 0:
-        raise ValueError(f"total_count requires n >= 0, got {n}")
+    n = whole(n, 0, "total_count: size n")
     if kind is ObjectKind.PERMUTATION:
         return math.factorial(n)
     return n**n if n > 0 else 1  # 0^0 = 1: the empty mapping

@@ -67,7 +67,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .kinds import ObjectKind, Side
+from .kinds import ObjectKind, Side, whole
 from .exact import top_threshold
 from .stats import ComponentPMF
 
@@ -101,9 +101,7 @@ def _stirling_rows(n: int) -> list[tuple[int, ...]]:
 
 def stirling_cycle(n: int, k: int) -> int:
     """Number of n-permutations with exactly k cycles (k <= 5 supported)."""
-    n, k = exact._whole(n, 0, "stirling_cycle's n"), exact._whole(k, 0, "stirling_cycle's k")
-    if k > 5:
-        raise ValueError("only k <= 5 is tabulated")
+    n, k = whole(n, 0, "stirling_cycle: size n"), whole(k, 0, "stirling_cycle: cycles k", 5)
     return _stirling_rows(n)[n][k]
 
 
@@ -128,9 +126,8 @@ def delta(r: int, k: int, n: int) -> int:
     how it is computed, in integers; at k = 1 it is the Stirling cycle
     number c(n, r).
     """
-    r, k, n = (exact._whole(v, 1, f"delta's {name}") for v, name in ((r, "r"), (k, "k"), (n, "n")))
-    if r < 2 or r > _MAX_RANK:
-        raise ValueError(f"correction term defined for ranks 2..{_MAX_RANK}")
+    r = whole(r, 2, "delta: rank r", _MAX_RANK)
+    k, n = whole(k, 1, "delta: threshold k"), whole(n, 1, "delta: size n")
     if k > n:
         return 0
     return math.perm(n - 1, k - 1) * stirling_cycle(n - k + 1, r)
@@ -207,7 +204,7 @@ def _stored_rows(build, r: int, first: int, k_max: int, n_max: int) -> tuple:
     later one).  A k_max or n_max that is not an int >= 0 is refused before
     the store is touched.
     """
-    k_max, n_max = exact._whole(k_max, 0, "k_max"), exact._whole(n_max, 0, "n_max")
+    k_max, n_max = whole(k_max, 0, "k_max"), whole(n_max, 0, "n_max")
     count = k_max - first + 1
     columns = [tuple(row[: n_max + 1]) for row in exact._stored(build, (r,), n_max)[:count]]
     return tuple(columns + columns[-1:] * (count - len(columns)))
@@ -215,7 +212,7 @@ def _stored_rows(build, r: int, first: int, k_max: int, n_max: int) -> tuple:
 
 def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """Exact counts of n-permutations whose r-th longest cycle is <= k."""
-    exact._check_rank(r, "longest_table")
+    whole(r, 1, "longest_table: rank r")
     # the last column, k = held n // r >= n_max // r, counts all n! at every
     # n <= n_max: r cycles longer than n // r do not fit
     counts = _stored_rows(_u_rows, r, 0, k_max, n_max)
@@ -233,9 +230,7 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     recursion, not the fewer-than-r rule of the module docstring.  No PMF
     reads n = 0.
     """
-    exact._check_rank(r, "shortest_table")
-    if r > _MAX_RANK:
-        raise ValueError(f"rank must be in 1..{_MAX_RANK}")
+    whole(r, 1, "shortest_table: rank r", _MAX_RANK)
     # the last column, t = max(held n - r + 1, 0), is 0 at every n >= 1: no
     # n-permutation has an r-th shortest cycle longer than n - r + 1 <= t, and
     # the fewer-than-r digest 0 is not either; the n = 0 cell is the same in
@@ -247,9 +242,8 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
 def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
-    exact._check_rank(r, "pmf_from_tables", n, side=side)
-    if side is Side.SMALLEST and r > _MAX_RANK:
-        raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
+    exact._check_rank(r, "pmf_from_tables", n, ObjectKind.PERMUTATION, side,
+                      _MAX_RANK if side is Side.SMALLEST else None)
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
     fact = math.factorial(n)
     cells = [rows[t][n] for t in range(top_threshold(n, r, side) + 1)]
@@ -341,11 +335,10 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     exact.pmf_float's proven chain.  Both raise PrecisionError when the
     mass-sum or probability-range check fails.
     """
-    exact._check_rank(r, "pmf_from_tables_float", n, side=side)
+    exact._check_rank(r, "pmf_from_tables_float", n, ObjectKind.PERMUTATION, side,
+                      _MAX_RANK if side is Side.SMALLEST else None)
     if side is Side.LARGEST:
         return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
-    if r > _MAX_RANK:
-        raise ValueError(f"the shortest-side recursion covers ranks 1..{_MAX_RANK}")
     table = exact._stored(_v_norm, (r,), n)
     probs = exact._row_pmf(table, n, r, side, 1.0).tolist()
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side, tuple(probs), conjectural=r > 1)

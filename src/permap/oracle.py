@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import ObjectKind, Side, total_count
+from .kinds import ObjectKind, Side, check_kind, total_count, whole
 from .stats import ComponentPMF
 
 _MAX_N = {ObjectKind.PERMUTATION: 8, ObjectKind.MAPPING: 7}
@@ -63,10 +63,7 @@ def decompose(kind: ObjectKind, f: Sequence[int]) -> tuple[int, ...]:
     for them the components are exactly the cycles.
     """
     n = len(f)
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in f):
-        raise ValueError("function table entries must be integers")
-    if any(not 1 <= v <= n for v in f):
-        raise ValueError("function table must map {1..n} into itself")
+    f = [whole(v, 1, "a function table entry", n) for v in f]  # f maps {1..n} into itself
     if kind is ObjectKind.PERMUTATION and len(set(f)) != n:
         raise ValueError("permutation table must be a bijection")
     (sizes,) = _sizes(np.array([f], dtype=np.intp) - 1)
@@ -91,14 +88,9 @@ def _spectrum(kind: ObjectKind, n: int) -> Counter:
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked component size, by full enumeration."""
-    # a string kind or side would be served as the other one, and a bool as 1
-    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
-        raise ValueError(f"enumerate_pmf requires an ObjectKind and a Side, got {kind!r}, {side!r}")
-    for value in (n, r):
-        if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < 1:
-            raise ValueError(f"enumerate_pmf requires int n >= 1 and r >= 1, got n={n!r}, r={r!r}")
-    if n > _MAX_N[kind]:
-        raise ValueError(f"enumeration budget is n <= {_MAX_N[kind]} for {kind.name}")
+    check_kind(kind, side, "enumerate_pmf")
+    n = whole(n, 1, "enumerate_pmf: size n (the enumeration budget)", _MAX_N[kind])
+    r = whole(r, 1, "enumerate_pmf: rank r")
     # r components of size > n // r do not fit; an r-th smallest of size m needs r - 1 others
     tally = [0] * (n // r + 1 if side is Side.LARGEST else max(n - r + 2, 1))
     for sizes, count in _spectrum(kind, n).items():

@@ -174,6 +174,11 @@ def test_dickman_rejects_out_of_domain() -> None:
         dickman(1, -0.5)
     with pytest.raises(ValueError):
         dickman(1, 40.5)
+    for bad in (True, 2.0, 0):  # the message names the order
+        for call in (lambda: dickman(bad, 1.0), lambda: largest_cdf(bad, 0.5),
+                     lambda: median_xi(bad)):
+            with pytest.raises(ValueError, match="order r"):
+                call()
 
 
 def _chebyshev_object_pieces(r: int, lower: tuple | None) -> tuple:
@@ -344,6 +349,31 @@ def test_moment_parameter_validation() -> None:
         moment_L(1, 2, 3)
     with pytest.raises(ValueError):
         moment_S(1, 2, 1, corrected=True)  # correction applies to a=1/2 only
+    for moment in (moment_L, moment_S):  # the message names the argument
+        for bad in (True, 2.0, 1):
+            with pytest.raises(ValueError, match="rank r"):
+                moment(1, bad, 1)
+        for bad in (True, 2.0, 0):
+            with pytest.raises(ValueError, match="height h"):
+                moment(1, 2, bad)
+
+
+def test_bool_and_float_arguments_are_refused_before_the_caches(monkeypatch) -> None:
+    # True == 1.0 == 1: moment_L(1, 2, True) was served, and cached, with
+    # h = True, moment_S(True, 2, 1) as a = 1, and dickman(True, x) and
+    # median_xi(True) as order 1; moment_L(1, 2.0, 1) failed with a TypeError
+    monkeypatch.setattr(asymptotics, "_MOMENTS", {})
+    asymptotics._table(1)  # a cached order-1 table would serve the order True
+    tables = asymptotics._table.cache_info()
+    for call in (lambda: moment_L(1, 2, True), lambda: moment_L(1, 2.0, 1),
+                 lambda: moment_S(True, 2, 1), lambda: dickman(True, 0.5),
+                 lambda: median_xi(True)):
+        with pytest.raises(ValueError):
+            call()
+        assert asymptotics._MOMENTS == {}
+        assert asymptotics._table.cache_info() == tables
+    h = moment_L(1, 2, 1).h
+    assert h == 1 and type(h) is int
 
 
 def test_constants_catalog_is_complete_and_tight() -> None:

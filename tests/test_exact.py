@@ -225,6 +225,15 @@ def test_pmf_rejects_degenerate_arguments() -> None:
         pmf(P, 4, 0, L)
 
 
+def test_support_length_refuses_bools_floats_and_values_below_range() -> None:
+    for bad in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="size n"):
+            support_length(bad, 2, L)
+    for bad in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="rank r"):
+            support_length(10, bad, L)
+
+
 def test_support_length_bounds() -> None:
     assert support_length(10, 2, L) == 6  # sizes 0..5
     assert support_length(10, 3, L) == 4

@@ -76,6 +76,16 @@ def test_connected_rejects_empty_object() -> None:
     for kind in (P, M):
         with pytest.raises(ValueError):
             connected_count(kind, 0)
+    # True == 1.0 == 1 and False == 0: a bool or a float would be served, and
+    # cached, as the int it equals, even once that int's count is cached
+    for kind in (P, M):
+        assert connected_count(kind, 1) == total_count(kind, 1) == total_count(kind, 0) == 1
+        for bad in (True, 1.0, 2.0, np.float64(2), -1):
+            with pytest.raises(ValueError, match="size n"):
+                connected_count(kind, bad)
+        for bad in (True, False, 0.0, 2.0, -1):
+            with pytest.raises(ValueError, match="size n"):
+                total_count(kind, bad)
 
 
 def test_numpy_int_sizes_give_exact_python_int_counts() -> None:

@@ -291,17 +291,21 @@ def test_stirling_recurrence() -> None:
             assert stirling_cycle(n, k) == 0, (n, k)
 
 
-@pytest.mark.parametrize("call", [
-    lambda v: delta(v, 1, 4),
-    lambda v: delta(2, v, 4),
-    lambda v: delta(2, 1, v),
-    lambda v: stirling_cycle(v, 2),
-    lambda v: stirling_cycle(4, v),
+@pytest.mark.parametrize("call, name, outside", [
+    (lambda v: delta(v, 1, 4), "rank r", (1, 5)),
+    (lambda v: delta(2, v, 4), "threshold k", (0,)),
+    (lambda v: delta(2, 1, v), "size n", (0,)),
+    (lambda v: stirling_cycle(v, 2), "size n", (-1,)),
+    (lambda v: stirling_cycle(4, v), "cycles k", (-1, 6)),
 ], ids=["delta-r", "delta-k", "delta-n", "stirling-n", "stirling-k"])
-def test_helpers_refuse_bools_and_non_integers(call) -> None:
+def test_helpers_refuse_bools_and_non_integers(call, name, outside) -> None:
     # True == 1 would be served as 1, and a float index fails inside the tables
     for bad in (True, False, 2.0, np.float64(2), Fraction(2), "2", None):
         with pytest.raises(ValueError):
+            call(bad)
+    # the message names the argument, an int outside its range included
+    for bad in (True, 2.0, *outside):
+        with pytest.raises(ValueError, match=name):
             call(bad)
     assert call(np.int64(2)) == call(2)
     assert type(call(np.int64(2))) is type(call(2))
@@ -339,30 +343,37 @@ def test_exact_counts_past_rank_n_max_plus_one_are_all_n_factorial(monkeypatch) 
             assert counts == (tuple(fact),) * (n_max + 1), (r, n_max)
 
 
-@pytest.mark.parametrize("table, args", [
-    (longest_table, (2, 3, -1)),
-    (longest_table, (2, -1, 3)),
-    (shortest_table, (2, 3, -2)),
-    (shortest_table, (2, -1, 3)),
-    (longest_table, (True, 2, 2)),
-    (shortest_table, (True, 2, 2)),
-    (longest_table, (0, 2, 2)),
-    (shortest_table, (5, 2, 2)),
-    (longest_table, (2.0, 3, 4)),
-    (shortest_table, (2.0, 3, 4)),
-    (longest_table, (2, 3.0, 4)),
-    (shortest_table, (2, 3, 4.0)),
-    (longest_table, (2, True, 4)),
-    (shortest_table, (2, 3, "4")),
+@pytest.mark.parametrize("table, args, name", [
+    (longest_table, (2, 3, -1), "n_max"),
+    (longest_table, (2, -1, 3), "k_max"),
+    (shortest_table, (2, 3, -2), "n_max"),
+    (shortest_table, (2, -1, 3), "k_max"),
+    (longest_table, (True, 2, 2), "rank r"),
+    (shortest_table, (True, 2, 2), "rank r"),
+    (longest_table, (0, 2, 2), "rank r"),
+    (shortest_table, (5, 2, 2), "rank r"),
+    (longest_table, (2.0, 3, 4), "rank r"),
+    (shortest_table, (2.0, 3, 4), "rank r"),
+    (longest_table, (2, 3.0, 4), "k_max"),
+    (shortest_table, (2, 3, 4.0), "n_max"),
+    (longest_table, (2, True, 4), "k_max"),
+    (shortest_table, (2, 3, "4"), "n_max"),
+    (longest_table, (2, 3, 4.0), "n_max"),
+    (longest_table, (2, 3, True), "n_max"),
+    (shortest_table, (0, 2, 2), "rank r"),
+    (shortest_table, (2, 3.0, 4), "k_max"),
+    (shortest_table, (2, True, 4), "k_max"),
+    (shortest_table, (2, 3, False), "n_max"),
 ], ids=["long-n", "long-k", "short-n", "short-k", "long-bool", "short-bool", "long-0",
         "short-5", "long-float-r", "short-float-r", "long-float-k", "short-float-n",
-        "long-bool-k", "short-str-n"])
-def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, args) -> None:
+        "long-bool-k", "short-str-n", "long-float-n", "long-bool-n", "short-0",
+        "short-float-k", "short-bool-k", "short-bool-n"])
+def test_bad_table_requests_are_refused_before_the_store(monkeypatch, table, args, name) -> None:
     def refuse(*args):
         raise AssertionError("a refused request reached the store")
 
     monkeypatch.setattr(exact, "_stored", refuse)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         table(*args)
 
 

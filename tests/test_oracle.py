@@ -171,6 +171,13 @@ def test_bool_sizes_and_ranks_are_refused() -> None:
                  (np.float64(5), 2), ("5", 2), (5, None)):
         with pytest.raises(ValueError):
             enumerate_pmf(P, n, r, L)
+    for bad in (True, 2.0, 0):  # the message names the argument
+        with pytest.raises(ValueError, match="size n"):
+            enumerate_pmf(P, bad, 1, L)
+        with pytest.raises(ValueError, match="rank r"):
+            enumerate_pmf(P, 3, bad, L)
+    with pytest.raises(ValueError, match="size n"):  # past the enumeration budget
+        enumerate_pmf(P, 9, 1, L)
     assert enumerate_pmf(M, np.int64(4), np.int64(2), S) == enumerate_pmf(M, 4, 2, S)
 
 
