@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -508,6 +509,27 @@ def test_builds_from_the_rank_below_are_cold_builds_bit_for_bit(name) -> None:
             else:
                 assert warm == cold, (n_max, r)
                 assert lower == held, (n_max, r)
+
+
+@pytest.mark.parametrize("name", ["chain-largest", "chain-smallest", "_v_norm"])
+def test_permutation_builds_hold_their_output_and_at_most_the_level_below(name) -> None:
+    # a warm build from a larger held rank r-1 table allocates the table it
+    # returns and a few rows; a cold one also the level below: no prefix
+    # table of either level is held beside them
+    if name == "_v_norm":
+        build, table = ktp._v_norm, lambda out: out
+    else:
+        build = partial(exact._build_chain, P, L if name == "chain-largest" else S)
+        table = lambda out: out[0]  # noqa: E731
+    held = build(2, 500)
+    for r, lower, bound in ((3, held, 1.1), (2, None, 2.1)):
+        tracemalloc.start()
+        try:
+            out = build(r, 400, lower)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * table(out).nbytes, (r, peak / table(out).nbytes)
 
 
 def _route_pmfs(r, n):
