@@ -50,9 +50,11 @@ count.  Both kinds are exp-log classes (Flajolet and Sedgewick, Analytic
 Combinatorics, II and VII): a new component has size j with probability
 q_j tau_{m-j} / (m tau_m) (kinds), so on levels scaled by tau one
 (level, m) step is m W[m] = sum_j q_j W'[m-j].  For permutations
-q = tau = 1 and the sums are the prefix sums of Knuth and Trabb Pardo
-(1976).  The chain runs in float64; ktp's longest-side float PMFs are
-pmf_float's.
+q = tau = 1 and the sums are partial column sums, as in Knuth and Trabb
+Pardo (1976), each kept as one running row that a step advances by one
+add.  So a build holds the table it returns and, when it runs from the
+all-zero level rather than a held table, the level below.  The chain
+runs in float64; ktp's longest-side float PMFs are pmf_float's.
 
 All computations are deterministic: summation orders are fixed, and
 results do not depend on call order.
@@ -65,12 +67,14 @@ recurrence, and never rebuilds them.  Create none of your own state
 here.  A table builder is a
 pure function of its rank, n_max and an optional rank r-1 table of its own
 builder, held at a size >= n_max, with r <= n_max + 1: it runs ranks 1..r
-from the all-zero rank 0, or rank r alone from that table, and never calls
-the store; the store alone decides when to pass the table (_stored).  An
-object of size <= n has at most n components, so a rank past n + 1
-changes no digest: the chain and ktp's exact counts run at most n_max + 1
-ranks, a build past rank n_max + 1 runs them from rank 0, and the window
-recursion keeps at most n + 1 entries.
+from the all-zero rank 0, or rank r alone from that table, which it reads
+in place and never writes, and it never calls the store; the store alone
+decides when to pass the table (_stored).  An object of size <= n has at
+most n components, so a rank past n + 1 changes no digest: the chain and
+ktp's exact counts run at most n_max + 1 ranks, a build past rank
+n_max + 1 runs them from rank 0, pmf_float reads every rank past n + 1
+from the rank n + 1 table, and the window recursion keeps at most n + 1
+entries.
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
@@ -94,8 +98,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import (ObjectKind, Side, check_kind, connected_count, exp_log_weights, total_count,
-                    whole)
+from .kinds import (ObjectKind, Side, check_kind, connected_count, exp_log_weights, member,
+                    total_count, whole)
 from .stats import ComponentPMF
 
 INFINITY: float = float("inf")
@@ -265,7 +269,8 @@ def top_threshold(n: int, r: int, side: Side) -> int:
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
     return top_threshold(whole(n, 0, "support_length: size n"),
-                         whole(r, 1, "support_length: rank r"), side) + 1
+                         whole(r, 1, "support_length: rank r"),
+                         member(side, Side, "support_length: side")) + 1
 
 
 def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side,
@@ -308,6 +313,23 @@ def memo_stats() -> dict[str, int]:
 _MASS_TOL = 1e-9
 
 
+def _add_anti_diagonal(sums: np.ndarray, table: np.ndarray, row: int, count: int) -> None:
+    """Add the cells table[row - t, t] to sums[t], for t < count <= row + 1.
+
+    The cells are one strided view of the C-ordered table, stepping back
+    width - 1 flat cells (one cell at width 1), so a held table wider and
+    taller than a build is read through its own width, as it is.  When
+    the last cell lies in row 0 the view's stop lies before the first
+    cell; it is then None, since a negative stop would count from the end.
+    """
+    width = table.shape[1]
+    stride = min(1 - width, -1)
+    start = row * width
+    stop = start + count * stride
+    head = sums[:count]
+    head += table.ravel()[start : stop if stop >= 0 else None : stride]
+
+
 def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
                  lower: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Raw top level of the chain as a table[m, t], sizes m = 0..n_max, and tau.
@@ -328,67 +350,59 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     >= n_max, with r <= n_max + 1, holds level r-2 on rows <= n_max and
     columns <= this table's last; level r-1 is run from it instead of from
     the all-zero level -1, with the same bits, since no cell depends on the
-    table's size.  The permutation step reads that level as prefix sums,
-    built row by row inside the step loop one row ahead of the reads (step
-    m reads rows <= m): the same sequential sums as np.cumsum(axis=0), with
-    the same bits, but np.cumsum down the columns of the strided slice of a
-    wider held table took 34-48 ms at 1501 x 1499 on a 2-CPU Xeon, and
-    the row adds take 5-8 ms.
+    table's size.
 
-    A new component of size j <= t leads to the same level on the largest
-    side and to level c-1 on the smallest; a larger one the other way
-    round, so the two sides run one step on swapped (low, high) levels.  On
-    levels scaled by tau, one (level, m) step sums q_j times the level
-    after size j over the rows j of a reused block, in the same order at
-    every table width, and divides by m; for permutations (q = tau = 1) it
-    reads prefix sums at rows m - t, an anti-diagonal of the row-major
-    table read as one strided view; off it lie the columns t >= m, which
-    would read the all-zero row 0.  Only level c and level c-1 are alive.
+    Every level is a table of values [m, t], and only level c and level
+    c-1 are alive: a cold build holds two tables, the one it returns and
+    the level below, writing level c over level c-2; a warm build runs one
+    level and holds only the table it returns, reading lower in place,
+    through its own width, and never writing it.  A new component of size
+    j <= t leads to the same level on the largest side and to level c-1 on
+    the smallest; a larger one the other way round, so the two sides run
+    one step on swapped (low, high) levels.  On levels scaled by tau, one
+    (level, m) step sums q_j times the level after size j over the rows j
+    of a reused block, row by row at every table width, and divides by m.
+    For permutations (q = tau = 1) the step reads partial sums of each
+    column t < m: of the low level's values at sizes < m, and of both
+    levels' values at sizes < m - t, an anti-diagonal.  Each is a running
+    vector of width W that one add a step advances, by row m-1 or by its
+    anti-diagonal read as one strided view, so column t sums sizes 0, 1,
+    2, ... in order from 0.0 at every table width; the columns t >= m
+    take the whole row sum.
     """
     largest = side is Side.LARGEST
     width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
     q, tau = exp_log_weights(kind, n_max)
-    uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are prefix sums
-    if uniform:
-        out = np.empty((rows, width))
-        out[0] = 1.0
-        shape = (rows + 1, width)  # a level as prefix sums: [i] sums its values at sizes < i
-        stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
-    else:
+    uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are running sums
+    if not uniform:
         mask = np.arange(1, rows)[:, None] <= np.arange(width)[None, :]  # mask[j-1, t]: j <= t
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
-        shape = (rows, width)
-    done, level, held = 0, np.zeros(shape), None  # levels run so far; level -1 is all zero
-    if lower is not None:  # level r - 2, read only
-        done, held = r - 1, lower[0][:rows, :width]
-        if not uniform:
-            level = held
-    for c in range(done, min(r, rows)):
-        prev, level = level, np.zeros(shape)
+    done, level = (0, np.zeros((rows, width))) if lower is None else (r - 1, lower[0])
+    prev = np.empty((rows, width))  # level c is written over level c-2
+    for c in range(done, min(r, rows)):  # one level when warm: lower is never written
+        prev, level = level, prev
+        level[0] = 1.0  # the empty object
         low, high = (level, prev) if largest else (prev, level)
         if uniform:
-            level[1] = 1.0  # the empty object
-            low_flat, high_flat = low.reshape(-1), high.reshape(-1)
+            low_row, low_diag, high_diag = np.zeros((3, width))
             for m in range(1, rows):
-                if held is not None:  # the held level's prefix sums, one row ahead of the reads
-                    np.add(prev[m - 1], held[m - 1], out=prev[m])
-                # columns t < end read rows m - t >= 1 of the prefix sums, one
-                # anti-diagonal; later ones would read the zero row 0
-                end = min(m, width)
-                diag = slice(m * width, m * width + end * stride, stride)
-                col = out[m]  # the top level's writes are the ones kept
-                np.subtract(low[m, :end], low_flat[diag], out=col[:end])  # j <= t
-                col[:end] += high_flat[diag]  # j > t
-                col[end:] = low[m, end:]
+                k = min(m, width)  # columns t < m: cell [m-1-t, t] exists
+                low_row += low[m - 1, :width]
+                _add_anti_diagonal(low_diag, low, m - 1, k)
+                _add_anti_diagonal(high_diag, high, m - 1, k)
+                # j <= t: the low values at sizes m-t..m-1; j > t: the high
+                # values at sizes < m-t.  Columns t >= m hold 0.0 anti-diagonal
+                # sums, so they take the whole low row sum, as every j <= t
+                col = level[m]
+                np.subtract(low_row, low_diag, out=col)
+                col += high_diag
                 col /= m
-                np.add(level[m], col, out=level[m + 1])
         else:
-            level[0] = 1.0  # the empty object
             for m in range(1, rows):
                 # block[j-1, t]: the value after a new component of size j
                 block = blocks[:m]
-                np.copyto(block, high[m - 1 :: -1])
-                np.copyto(block, low[m - 1 :: -1], where=mask[:m])
+                np.copyto(block, high[m - 1 :: -1, :width])
+                np.copyto(block, low[m - 1 :: -1, :width], where=mask[:m])
                 block *= q[1 : m + 1, None]
                 # row by row: the same order at any width.  np.einsum('j,jt->t',
                 # q[1:m+1], block) halved the n = 300, r = 2 builds on a 2-CPU
@@ -396,9 +410,12 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
                 # but its sums depend on the width: the one-column n_max = 5,
                 # r = 6 largest table differs between a cold build and one
                 # started from the held two-column rank 5 table
-                np.sum(block, axis=0, out=level[m])
+                if width > 1:
+                    np.sum(block, axis=0, out=level[m])
+                else:  # np.sum adds one contiguous column pairwise
+                    level[m] = np.cumsum(block)[-1]
                 level[m] /= m
-    return (out if uniform else level), tau
+    return level, tau
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +499,7 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     hundreds, permutations into the thousands, in seconds).
     """
     _check_rank(r, "pmf_float", n, kind, side)
-    top, tau = _stored(_build_chain, (kind, side, r), n)
+    # an n-object has at most n components: every rank past n + 1 reads the rank n + 1 row
+    top, tau = _stored(_build_chain, (kind, side, min(r, n + 1)), n)
     probs = _row_pmf(top, n, r, side, tau[n])
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

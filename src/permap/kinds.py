@@ -24,7 +24,8 @@ tau_m = m^m e^-m/m!.
 
 Every route imports this module, so it is also the one home of the
 argument rule that every public entry point applies: whole for integer
-arguments and check_kind for the kind and side.
+arguments, check_kind for the kind and side, and member for a kind or a
+side alone.
 """
 
 from __future__ import annotations
@@ -79,6 +80,17 @@ def check_kind(kind: ObjectKind, side: Side, what: str) -> None:
         raise ValueError(f"{what} requires an ObjectKind and a Side, got {kind!r}, {side!r}")
 
 
+def member(value, enum: type[Enum], what: str):
+    """value if it is a member of enum: check_kind for a kind or a side taken alone.
+
+    Anything else is refused with a ValueError that names what: a string,
+    None or the other enum would be served as one of the members.
+    """
+    if not isinstance(value, enum):
+        raise ValueError(f"{what} must be a member of {enum.__name__}, got {value!r}")
+    return value
+
+
 # typed: a bool or a float equal to a cached int (True == 1.0 == 1) would be
 # served that int's count without reaching the check
 @lru_cache(maxsize=None, typed=True)
@@ -88,7 +100,7 @@ def connected_count(kind: ObjectKind, n: int) -> int:
     n must be >= 1: there is no empty connected object.
     """
     n = whole(n, 1, "connected_count: size n")  # numpy ints overflow here
-    if kind is ObjectKind.PERMUTATION:
+    if member(kind, ObjectKind, "connected_count: kind") is ObjectKind.PERMUTATION:
         return math.factorial(n - 1)
     # Horner in n: term j is a_i * n^i with i = n - j and a_i = (n-1)!/i!
     acc, a_i = 0, 1
@@ -102,7 +114,7 @@ def connected_count(kind: ObjectKind, n: int) -> int:
 def total_count(kind: ObjectKind, n: int) -> int:
     """Total number of objects of the given kind on n labelled nodes (t_0 = 1)."""
     n = whole(n, 0, "total_count: size n")
-    if kind is ObjectKind.PERMUTATION:
+    if member(kind, ObjectKind, "total_count: kind") is ObjectKind.PERMUTATION:
         return math.factorial(n)
     return n**n if n > 0 else 1  # 0^0 = 1: the empty mapping
 
@@ -115,7 +127,7 @@ def exp_log_weights(kind: ObjectKind, m_max: int) -> tuple[np.ndarray, np.ndarra
     """
     q, tau = np.ones(m_max + 1), np.ones(m_max + 1)
     q[0] = 0.0
-    if kind is ObjectKind.MAPPING:
+    if member(kind, ObjectKind, "exp_log_weights: kind") is ObjectKind.MAPPING:
         j = np.arange(1, m_max + 1, dtype=np.float64)
         q[1:] = gammaincc(j, j)
         p = j - 1  # m - 1 for m = 1..m_max; the ratio at m = 1 is 1/e

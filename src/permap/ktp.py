@@ -34,20 +34,18 @@ defining sums telescope to (see _u_rows); adjacent differences of a
 column give the exact PMF of the r-th ranked cycle size, which must (and
 does, in tests) match the rank-window engine.  The float tables hold
 counts normalised by n!, where the falling-factorial weights collapse to
-1/n and prefix sums make every cell O(1); n = 2500 tables build in
+1/n and partial column sums make every cell O(1); n = 2500 tables build in
 seconds.  The longest-side float PMF is exact's threshold chain
 (pmf_float), which covers the same counts; the shortest-side float
 recursion is built here, apart from that kernel, so that
 pmf_from_tables_float is the check of the conjectural recursion against
-the proven chain.  It runs one rank at a time over row-major [n, t]
-prefix sums, one contiguous row per size n, whose step reads one
-anti-diagonal of the prefix sums as a strided view; it keeps a full
-value table for the requested rank only, and returns it as [n, t].  A
-held rank r-1 table is turned into prefix sums row by row inside the
-step loop, one row ahead of the reads, by the same sequential sums as
-np.cumsum(axis=0), not by np.cumsum itself: summing down the columns of
-the strided slice of a wider held table cost 34-48 ms at 1501 x 1499
-on a 2-CPU Xeon, the row adds 5-8 ms, with the same bits.
+the proven chain.  It runs one rank at a time on row-major [n, t] value
+tables, one contiguous row per size n, and returns the requested rank's.
+A step takes its partial column sums from running rows, each advanced by
+one add a step, from row n-1 or its anti-diagonal read as a strided
+view, as exact's permutation chain does.  Built from a held rank r-1
+table, which it reads in place, it holds only the table it returns;
+built from rank 0, also the rank below.
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
 of its own, held at a size >= n_max, with r <= n_max + 1: it runs ranks
@@ -267,63 +265,56 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
 
     Returns the row-major table z[n, t], t = 0..max(n_max-r+1, 0), whose
     column t holds v_r(t+1, n)/n!, so that each step n reads and writes
-    contiguous rows; callers keep it in exact's store.  Rank q keeps only
-    its prefix sums cum[i, t] = sum of its values at sizes < i, and step n
-    reads cum[n-t, t] for t below the top threshold of (n, q), an
-    anti-diagonal, as one strided view of the flat table (columns from
-    that threshold on hold 0 and are not written at n); the rank-r values
-    are the only full table.  The correction D_q[k, n] = delta(q, k, n)/n!
-    is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so
-    e_1..e_3 are built once from the harmonic sums and row n of D_q is a
-    slice of one of them, reversed once up front; no D table is held.
-    Ranks run from q = 1 over the all-zero prefix sums of rank 0, or rank
-    r alone from the prefix sums of lower, a rank r-1 table held at a size
-    >= n_max, whose rows and columns up to this table's are the bits the
-    ranks below r would give.  Step n reads prefix rows <= n only, so it
-    makes prefix row n first, from row n-1 and lower's row n-1: the same
-    sequential sums as np.cumsum(axis=0), with the same bits, but
-    np.cumsum down the columns of that strided slice took 34-48 ms at
-    1501 x 1499 on a 2-CPU Xeon, and the row adds take 5-8 ms.  Each
-    step writes through out= into the tables' rows and one scratch row,
-    and allocates no array memory.
+    contiguous rows; callers keep it in exact's store.  Step n of rank q
+    writes the columns t below the top threshold of (n, q) (later ones
+    hold 0), and each needs partial sums of column t: of rank q's values
+    at sizes < n - t, an anti-diagonal, and from q = 2 on of rank q-1's
+    values at sizes < n and < n - t.  Each is a running vector of width W
+    that one add a step advances, by row n-1 or by its anti-diagonal read
+    as one strided view (exact._add_anti_diagonal), so column t sums
+    sizes 0, 1, 2, ... in order from 0.0 at every table width.  The
+    correction D_q[k, n] = delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ...,
+    1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_3 are built once
+    from the harmonic sums and row n of D_q is a slice of one of them,
+    reversed once up front; no D table is held.  Ranks run from q = 1 over
+    the all-zero rank 0, or rank r alone from lower, a rank r-1 table held
+    at a size >= n_max, read in place through its own width and never
+    written, whose rows and columns up to this table's are the bits the
+    ranks below r would give.  So a warm build holds only the table it
+    returns, and a cold one also the rank below: each rank's table is
+    allocated after the rank two below it is dropped.  Each step writes
+    through out= ufuncs into the table's row and one scratch row, and
+    allocates no array memory.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
     """
     width = top_threshold(n_max, r, Side.SMALLEST) + 1
-    stride = min(1 - width, -1)  # flat step from [i, t] to [i - 1, t + 1]; one cell at width 1
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
     back = [values[::-1].copy() for values in e]  # back[i] = e[n_max - i]
     d = np.empty(width)  # D_q[t+1, n] for t < end
-    cum_prev = np.zeros((n_max + 2, width))  # the prefix sums of the rank below
-    held = None if lower is None else lower[: n_max + 1, :width]
-    prev_flat = cum_prev.reshape(-1)
+    z = lower  # the rank below; None before rank 1
     for q in range(1 if lower is None else r, r + 1):
-        cum = np.zeros((n_max + 2, width))
-        cum[1] = 1.0 if q == 1 else 0.0
-        flat = cum.reshape(-1)
-        if q == r:
-            z = np.zeros((n_max + 1, width))
-            z[0] = cum[1]  # the empty permutation
-        else:
-            row = np.zeros(width)  # entries past end are never written: end grows with n
+        below = z  # drops rank q - 2 before rank q is allocated
+        z = np.zeros((n_max + 1, width))
+        z[0] = 1.0 if q == 1 else 0.0  # the empty permutation
+        diag, below_row, below_diag = np.zeros((3, width))
         for n in range(1, n_max + 1):
-            if held is not None:  # the held rank's prefix sums, one row ahead of the reads
-                np.add(cum_prev[n - 1], held[n - 1], out=cum_prev[n])
+            k = min(n, width)  # columns t < n: cell [n-1-t, t] exists
+            exact._add_anti_diagonal(diag, z, n - 1, k)
+            if q > 1:
+                below_row += below[n - 1, :width]
+                exact._add_anti_diagonal(below_diag, below, n - 1, k)
             end = min(top_threshold(n, q, Side.SMALLEST), width)
-            out = z[n] if q == r else row
-            if end:  # cum[n-t, t] for t < end: an anti-diagonal
-                diag, cell = slice(n * width, n * width + end * stride, stride), out[:end]
-                if q == 1:
-                    np.divide(flat[diag], n, out=cell)
-                else:  # (cum_prev[n] - cum_prev[n-t] + cum[n-t]) / n + D_q[t+1, n]
-                    np.divide(back[q - 2][n_max + 1 - n : n_max + 1 - n + end], n, out=d[:end])
-                    np.subtract(cum_prev[n, :end], prev_flat[diag], out=cell)
-                    cell += flat[diag]
-                    cell /= n
-                    cell += d[:end]
-            np.add(cum[n], out, out=cum[n + 1])
-        cum_prev, prev_flat = cum, flat
+            cell = z[n, :end]
+            if q == 1:
+                np.divide(diag[:end], n, out=cell)
+            elif end:  # (below_row - below_diag + diag) / n + D_q[t+1, n]
+                np.divide(back[q - 2][n_max + 1 - n : n_max + 1 - n + end], n, out=d[:end])
+                np.subtract(below_row[:end], below_diag[:end], out=cell)
+                cell += diag[:end]
+                cell /= n
+                cell += d[:end]
     return z
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import ObjectKind, Side, check_kind, total_count, whole
+from .kinds import ObjectKind, Side, check_kind, member, total_count, whole
 from .stats import ComponentPMF
 
 _MAX_N = {ObjectKind.PERMUTATION: 8, ObjectKind.MAPPING: 7}
@@ -64,7 +64,7 @@ def decompose(kind: ObjectKind, f: Sequence[int]) -> tuple[int, ...]:
     """
     n = len(f)
     f = [whole(v, 1, "a function table entry", n) for v in f]  # f maps {1..n} into itself
-    if kind is ObjectKind.PERMUTATION and len(set(f)) != n:
+    if member(kind, ObjectKind, "decompose: kind") is ObjectKind.PERMUTATION and len(set(f)) != n:
         raise ValueError("permutation table must be a bijection")
     (sizes,) = _sizes(np.array([f], dtype=np.intp) - 1)
     return sizes

@@ -416,6 +416,37 @@ def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
                         assert np.array_equal(_gathered(side, r, n_max), want), (r, n_max)
 
 
+def test_one_column_chain_rows_are_the_wider_rows_bit_for_bit() -> None:
+    # a one-column table sums each cell over j = 1..m row by row, as a wider
+    # one does, though numpy's np.sum adds one contiguous column of 8 or more
+    # rows pairwise; a permutation table reads its anti-diagonals from row 0
+    # at every step.  Row n of the one-column table of a rank past n + 1 at
+    # n_max = n (blocks of up to n rows; the rank n + 1 table, see above)
+    # holds the bits of row n of the rank n + 1 table grown to 5n/4 + 1
+    for kind in (P, M):
+        for side in (L, S):
+            for n in range(1, 41):
+                wide, _ = _build_chain(kind, side, n + 1, n * 5 // 4 + 1)
+                alone, _ = _build_chain(kind, side, n + 2, n)
+                assert alone.shape[1] == 1 < wide.shape[1], (kind, side, n)
+                assert np.array_equal(wide[n, :1], alone[n]), (kind, side, n)
+
+
+@pytest.mark.parametrize("kind", [P, M])
+@pytest.mark.parametrize("side", [L, S])
+def test_ranks_past_n_plus_one_read_the_rank_n_plus_one_table(monkeypatch, kind, side) -> None:
+    # an n-object has at most n components, so every rank past n + 1 has the
+    # rank n + 1 PMF, and is served from that table: no key is added
+    monkeypatch.setattr(exact, "_TABLES", {})
+    n = 120
+    want = pmf_float(kind, n, n + 1, side).probs
+    keys = set(exact._TABLES)
+    for r in (n + 2, n + 7, 10**6):
+        got = pmf_float(kind, n, r, side)
+        assert got.rank == r and got.probs == want, r
+    assert set(exact._TABLES) == keys
+
+
 def test_chain_from_the_rank_below_is_the_cold_chain_bit_for_bit() -> None:
     # the rank r-1 table of a larger, taller and wider build starts the
     # rank r build at its top level, for r <= n_max + 1 as the store passes

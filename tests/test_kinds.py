@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from permap.exact import support_length
 from permap.kinds import ObjectKind, Side, connected_count, exp_log_weights, total_count
+from permap.oracle import decompose
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -187,3 +189,25 @@ def test_exp_log_weights_tend_to_the_type() -> None:
 def test_enums_are_disjoint() -> None:
     assert P is not M
     assert Side.LARGEST is not Side.SMALLEST
+
+
+# each route takes a kind or a side alone, and a string, None or the other
+# enum must be refused by name: "largest" was served as the smallest side,
+# "permutation" as a mapping (connected_count 17 at n = 3, decompose (2,))
+_ALONE = {
+    "connected_count": (lambda kind: connected_count(kind, 3), "kind", Side.LARGEST),
+    "total_count": (lambda kind: total_count(kind, 3), "kind", Side.SMALLEST),
+    "exp_log_weights": (lambda kind: exp_log_weights(kind, 3), "kind", Side.LARGEST),
+    "decompose": (lambda kind: decompose(kind, [1, 1]), "kind", Side.SMALLEST),
+    "support_length": (lambda side: support_length(10, 2, side), "side", P),
+}
+
+
+@pytest.mark.parametrize("route", list(_ALONE))
+def test_routes_taking_a_kind_or_side_alone_refuse_non_members(route) -> None:
+    call, name, other_enum = _ALONE[route]
+    cached = (connected_count.cache_info().currsize, total_count.cache_info().currsize)
+    for bad in (name == "kind" and "permutation" or "largest", None, other_enum):
+        with pytest.raises(ValueError, match=f"{route}: {name} must be a member of"):
+            call(bad)
+    assert (connected_count.cache_info().currsize, total_count.cache_info().currsize) == cached

@@ -585,7 +585,10 @@ def test_no_build_past_rank_n_plus_one_starts_from_the_rank_below(monkeypatch) -
             for side in (L, S):
                 assert exact.pmf_float(kind, n, r, side).probs == (1.0,), (kind, side, r)
         assert pmf_from_tables(r, n, L).probs == (Fraction(1),), r
-    assert len(builds) == 15
+    # pmf_float reads ranks 7 and 8 from the rank 6 chain: one chain build
+    # per kind and side, and one exact table build per rank
+    assert sorted(builds) == [("_build_chain", n + 1, n, True)] * 4 + [
+        ("_u_rows", r, n, True) for r in (6, 7, 8)]
     for name, r, n_max, cold in builds:
         assert n_max == n and (cold or r <= n_max + 1), (name, r)
 
