@@ -377,6 +377,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     if not uniform:
         mask = np.arange(1, rows)[:, None] <= np.arange(width)[None, :]  # mask[j-1, t]: j <= t
         blocks = np.empty((n_max, width))  # reused: a fresh array per step costs page faults
+    # level -1 is all zero; a held level r-2 is read in place
     done, level = (0, np.zeros((rows, width))) if lower is None else (r - 1, lower[0])
     prev = np.empty((rows, width))  # level c is written over level c-2
     for c in range(done, min(r, rows)):  # one level when warm: lower is never written

@@ -195,19 +195,20 @@ def test_enums_are_disjoint() -> None:
 # enum must be refused by name: "largest" was served as the smallest side,
 # "permutation" as a mapping (connected_count 17 at n = 3, decompose (2,))
 _ALONE = {
-    "connected_count": (lambda kind: connected_count(kind, 3), "kind", Side.LARGEST),
-    "total_count": (lambda kind: total_count(kind, 3), "kind", Side.SMALLEST),
-    "exp_log_weights": (lambda kind: exp_log_weights(kind, 3), "kind", Side.LARGEST),
-    "decompose": (lambda kind: decompose(kind, [1, 1]), "kind", Side.SMALLEST),
-    "support_length": (lambda side: support_length(10, 2, side), "side", P),
+    "connected_count": ("kind", lambda bad: connected_count(bad, 3)),
+    "total_count": ("kind", lambda bad: total_count(bad, 3)),
+    "exp_log_weights": ("kind", lambda bad: exp_log_weights(bad, 3)),
+    "decompose": ("kind", lambda bad: decompose(bad, [1, 1])),
+    "support_length": ("side", lambda bad: support_length(10, 2, bad)),
 }
+_NON_MEMBERS = {"kind": ("permutation", None, Side.LARGEST), "side": ("largest", None, P)}
 
 
 @pytest.mark.parametrize("route", list(_ALONE))
 def test_routes_taking_a_kind_or_side_alone_refuse_non_members(route) -> None:
-    call, name, other_enum = _ALONE[route]
+    name, call = _ALONE[route]
     cached = (connected_count.cache_info().currsize, total_count.cache_info().currsize)
-    for bad in (name == "kind" and "permutation" or "largest", None, other_enum):
+    for bad in _NON_MEMBERS[name]:
         with pytest.raises(ValueError, match=f"{route}: {name} must be a member of"):
             call(bad)
     assert (connected_count.cache_info().currsize, total_count.cache_info().currsize) == cached
