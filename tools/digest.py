@@ -4,10 +4,12 @@
 
 Prints one line per item, "<sha256>  <item>": the threshold-chain tables
 (exact._build_chain, both kinds and sides, ranks 1..4, built cold from
-rank 0 and warm from a held rank r-1 table), the float shortest-side
-tables (ktp._v_norm, cold and warm), the pieces of each Dickman table, and
-the stdout and exit code of every command that prints a published table
-or constant.  Two checkouts compute the same numbers when their outputs
+rank 0 and warm from a held rank r-1 table), the exact and float
+permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
+warm), the public ktp tables and PMFs read through the store at ranks up
+to and past n + 1 (sizes asked in ascending and in descending order), the
+pieces of each Dickman table, and the stdout and exit code of every
+command that prints a published table or constant.  Two checkouts compute the same numbers when their outputs
 have no diff:
 
     diff <(python3 tools/digest.py) <(python3 /other/checkout/tools/digest.py)
@@ -37,6 +39,9 @@ RANKS = (1, 2, 3, 4)
 CHAIN_SIZES = {ObjectKind.PERMUTATION: (1, 2, 3, 5, 37, 200, 1500),
                ObjectKind.MAPPING: (1, 2, 3, 5, 37, 200, 400)}
 V_NORM_SIZES = (1, 2, 3, 5, 37, 200, 1500)
+EXACT_SIZES = (0, 1, 2, 3, 5, 37, 120)
+# sizes of the store reads; each is asked at ranks 1..4 and past n + 1
+STORE_SIZES = (0, 1, 2, 3, 5, 20)
 
 PERM_SIZES = "1000,1500,2000,2500"
 COMMANDS = [
@@ -94,6 +99,49 @@ def v_norm_lines() -> list[str]:
     return lines
 
 
+def exact_table_lines() -> list[str]:
+    lines = []
+    for build in (ktp._u_rows, ktp._v_rows):
+        for r in RANKS:
+            cold = [build(r, n) for n in EXACT_SIZES]
+            lines.append(f"{hashlib.sha256(repr(cold).encode()).hexdigest()}  "
+                         f"{build.__name__} r={r} cold")
+            if r == 1:
+                continue
+            warm = [build(r, n, build(r - 1, held))
+                    for n in EXACT_SIZES if r <= n + 1 for held in _held(n)]
+            lines.append(f"{hashlib.sha256(repr(warm).encode()).hexdigest()}  "
+                         f"{build.__name__} r={r} warm")
+    return lines
+
+
+# each public read of the store, with the ranks it serves at size n
+STORE_READS = {
+    "longest_table": (lambda r, n: ktp.longest_table(r, n + 2, n), None),
+    "shortest_table": (lambda r, n: ktp.shortest_table(r, n + 2, n), 4),
+    "pmf_from_tables largest": (lambda r, n: ktp.pmf_from_tables(r, n, Side.LARGEST), None),
+    "pmf_from_tables smallest": (lambda r, n: ktp.pmf_from_tables(r, n, Side.SMALLEST), 4),
+    "pmf_from_tables_float smallest":
+        (lambda r, n: ktp.pmf_from_tables_float(r, n, Side.SMALLEST), 4),
+}
+
+
+def store_lines() -> list[str]:
+    lines = []
+    for name, (read, r_max) in STORE_READS.items():
+        # the PMF routes refuse n = 0
+        sizes = STORE_SIZES if name.endswith("table") else STORE_SIZES[1:]
+        asks = [(r, n) for n in sizes for r in (*RANKS, n + 2, n + 5, 10**6)
+                if r_max is None or r <= r_max]
+        for order, seq in (("ascending", asks), ("descending", asks[::-1])):
+            exact._TABLES.clear()
+            got = [read(r, n) for r, n in seq]
+            lines.append(f"{hashlib.sha256(repr(got).encode()).hexdigest()}  "
+                         f"{name} {order}")
+    exact._TABLES.clear()
+    return lines
+
+
 def dickman_lines() -> list[str]:
     lines = []
     for r in RANKS:
@@ -115,7 +163,8 @@ def command_lines() -> list[str]:
 
 
 def main() -> int:
-    for group in (chain_lines, v_norm_lines, dickman_lines, command_lines):
+    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, dickman_lines,
+                  command_lines):
         for line in group():
             print(line, flush=True)
     return 0
