@@ -70,7 +70,7 @@ class DickmanTable:
 
     def value(self, x: float) -> float:
         """rho_r(x); raises PrecisionError if a piece leaves [0, 1] beyond _RHO_TOL."""
-        if x < 0.0 or x > self.x_max:
+        if not 0.0 <= x <= self.x_max:  # NaN included
             raise ValueError(f"x={x} outside table range [0, {self.x_max}]")
         m = min(int(x), len(self.pieces) - 1)
         val = float(self.pieces[m](x))
@@ -124,23 +124,25 @@ def _table(r: int) -> DickmanTable:
 def dickman(r: int, x: float) -> float:
     """rho_r(x) for 1 <= r <= 4 and 0 <= x <= 40, absolute error <= 1e-10."""
     r = whole(r, 1, "dickman: order r", 4)
-    if x < 0.0:
-        raise ValueError("dickman requires x >= 0")
     return _table(r).value(float(x))
 
 
 def _rho_tail(r: int, x: float) -> float:
-    # lenient variant for density formulas: beyond the table rho_r is far
-    # below double precision (rho_1(40) ~ 1e-60), so 0 is exact enough
+    # lenient variant for density formulas: beyond the table rho_1 is far
+    # below double precision (rho_1(40) ~ 1e-60), so 0 is exact enough; rho_2
+    # is not (rho_2(40) = 0.0457), and density_g refuses the x that reach it
     if x >= _X_MAX:
         return 0.0
     return _table(r).value(x)
 
 
 def largest_cdf(r: int, x: float) -> float:
-    """Limiting P{(r-th longest cycle) < x*n} = rho_r(1/x), for 0 < x <= 1."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError("largest_cdf requires 0 < x <= 1")
+    """Limiting P{(r-th longest cycle) < x*n} = rho_r(1/x), for 1/40 <= x <= 1.
+
+    1/x must lie in the Dickman tables' range [0, 40].
+    """
+    if not (0.0 < x <= 1.0 and 1.0 / x <= _X_MAX):  # NaN included
+        raise ValueError(f"largest_cdf requires 1/{_X_MAX} <= x <= 1, got x={x!r}")
     return dickman(r, 1.0 / x)
 
 
@@ -155,9 +157,13 @@ def density_f(x: float) -> float:
 
 
 def density_g(x: float) -> float:
-    """Density of (second-longest cycle)/n on (0, 1/2)."""
-    if not 0.0 < x < 0.5:
-        raise ValueError("density_g is defined on the open interval (0, 1/2)")
+    """Density of (second-longest cycle)/n, for 1/41 < x < 1/2.
+
+    It reads rho_2 at 1/x - 1, and the rho_2 table ends at 40; past it
+    rho_2 is far from 0 (rho_2(40) = 0.0457).
+    """
+    if not (0.0 < x < 0.5 and 1.0 / x - 1.0 < _X_MAX):  # NaN included
+        raise ValueError(f"density_g is defined on (1/{_X_MAX + 1}, 1/2), got x={x!r}")
     y = 1.0 / x - 1.0
     return (_rho_tail(2, y) - _rho_tail(1, y)) / x
 
@@ -248,8 +254,6 @@ def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
     the mapping (a = 1/2) statistics empirically need.
     """
     a, r, h = _check_params(a, r, h, "moment_S")
-    if Fraction(h) < a:
-        raise ValueError("moment height below the exp-log parameter diverges")
     if corrected and a != Fraction(1, 2):
         raise ValueError("the sqrt(2) correction applies to mappings (a = 1/2) only")
     key = (Side.SMALLEST, a, r, h, corrected)

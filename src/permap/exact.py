@@ -66,15 +66,10 @@ one grow rule.  The one exception is ktp's Stirling cycle table
 recurrence, and never rebuilds them.  Create none of your own state
 here.  A table builder is a
 pure function of its rank, n_max and an optional rank r-1 table of its own
-builder, held at a size >= n_max, with r <= n_max + 1: it runs ranks 1..r
-from the all-zero rank 0, or rank r alone from that table, which it reads
-in place and never writes, and it never calls the store; the store alone
-decides when to pass the table (_stored).  An object of size <= n has at
-most n components, so a rank past n + 1 changes no digest: the chain and
-ktp's exact counts run at most n_max + 1 ranks, a build past rank
-n_max + 1 runs them from rank 0, pmf_float reads every rank past n + 1
-from the rank n + 1 table, and the window recursion keeps at most n + 1
-entries.
+builder, held at a size >= n_max: it runs ranks 1..r from the all-zero
+rank 0, or rank r alone from that table, which it reads in place and never
+writes, and it never calls the store; the store alone decides which table
+serves a request and when to pass the table below (_stored).
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
@@ -98,8 +93,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import (ObjectKind, Side, check_kind, connected_count, exp_log_weights, member,
-                    total_count, whole)
+from .kinds import ObjectKind, Side, connected_count, exp_log_weights, member, total_count, whole
 from .stats import ComponentPMF
 
 INFINITY: float = float("inf")
@@ -221,7 +215,7 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
 
 
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
-    check_kind(kind, side, "a row polynomial")
+    member(kind, ObjectKind, f"{side.value}_poly: kind")  # the side is the caller's own
     n = whole(n, 0, "size n")  # the big-integer recursion must not run on numpy ints
     window = tuple(sorted(ranks))
     if not window:
@@ -279,9 +273,10 @@ def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side,
 
     kind and side must be members of their enums, the size n an int >= 1
     and the rank r an int in 1..r_max (no bound if r_max is None), by the
-    one rule of kinds.whole and kinds.check_kind.
+    one rule of kinds.whole and kinds.member.
     """
-    check_kind(kind, side, what)
+    member(kind, ObjectKind, f"{what}: kind")
+    member(side, Side, f"{what}: side")
     whole(r, 1, f"{what}: rank r", r_max)
     whole(n, 1, f"{what}: size n")
 
@@ -344,10 +339,8 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     side; on the smallest side it is P{fewer than r components of size
     <= t}, and subtracting P{fewer than r components}, the row's own value
     at t = top_threshold(n, r, side), leaves P{r-th smallest > t}, with the
-    fewer-than-r-components digest 0.  Levels past n_max, where every
-    m-object has at most c components, change no cell, so at most n_max + 1
-    levels run.  lower, the (table, tau) of a rank r-1 build at a size
-    >= n_max, with r <= n_max + 1, holds level r-2 on rows <= n_max and
+    fewer-than-r-components digest 0.  lower, the (table, tau) of a rank
+    r-1 build at a size >= n_max, holds level r-2 on rows <= n_max and
     columns <= this table's last; level r-1 is run from it instead of from
     the all-zero level -1, with the same bits, since no cell depends on the
     table's size.
@@ -380,7 +373,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     # level -1 is all zero; a held level r-2 is read in place
     done, level = (0, np.zeros((rows, width))) if lower is None else (r - 1, lower[0])
     prev = np.empty((rows, width))  # level c is written over level c-2
-    for c in range(done, min(r, rows)):  # one level when warm: lower is never written
+    for c in range(done, r):  # one level when warm: lower is never written
         prev, level = level, prev
         level[0] = 1.0  # the empty object
         low, high = (level, prev) if largest else (prev, level)
@@ -429,27 +422,37 @@ def _stored(build, args: tuple, n: int):
     """build(*args, n_max, lower), kept per (build, args) and reused while big enough.
 
     n is the largest size a request reads, and args end with the rank r.
+    The rank rule, applied here alone: an object of size m <= n has at most
+    n components, so its r-th largest and r-th smallest sizes are 0 for
+    every r > n, and rows 0..n of a table are the same at every rank past
+    n + 1.  So the store serves rank r from the table of rank
+    min(r, max(n, 1) + 1) and keeps none past it.  The floor is rank 2 at
+    n = 0, where rank 1 alone differs: ktp's shortest-side counts hold
+    v_1(k, 0) = 1, the base case of their recursion, where every higher
+    rank holds 0.
+
     Every table's thresholds are derived from its rank and n_max
     (top_threshold), so one held size fixes the whole table.  A stored
     table held at a size below n is rebuilt at n_max = max(n, 5/4 of held),
     so requests for n = 1..N in ascending order cost O(log N) builds.  When
     the store holds the same builder's rank r-1 table at a size >= n_max,
-    and r <= n_max + 1, it passes that table as lower, and the build runs
-    rank r alone from it; otherwise lower is None, and the build runs ranks
-    1..r from the all-zero rank 0 (at most n_max + 1 of them).  This is the
-    one place that decides it.  The cells are the same either way, so a
-    rank sweep r = 2, 3, 4 builds each rank once, and no table is kept
-    beyond one per key.  The store holds tables and computes nothing, and
-    build never calls it, so every build is one call whose size is known up
-    front.
+    it passes that table as lower, and the build runs rank r alone from it;
+    otherwise lower is None, and the build runs ranks 1..r from the all-zero
+    rank 0.  This is the one place that decides it.  The cells are the same
+    either way, so a rank sweep r = 2, 3, 4 builds each rank once, and no
+    table is kept beyond one per key.  The store holds tables and computes
+    nothing, and build never calls it, so every build is one call whose
+    size is known up front.
     """
-    key = (build, *args)
+    *head, r = args
+    r = min(r, max(n, 1) + 1)
+    key = (build, *head, r)
     held, table = _TABLES.get(key, (-1, None))  # -1: nothing held
     if n <= held:
         return table
-    n, r = max(n, held * 5 // 4), args[-1]
-    lower_held, lower = _TABLES.get((build, *args[:-1], r - 1), (-1, None))
-    table = build(*args, n, lower if lower_held >= n and r <= n + 1 else None)
+    n = max(n, held * 5 // 4)
+    lower_held, lower = _TABLES.get((build, *head, r - 1), (-1, None))
+    table = build(*head, r, n, lower if lower_held >= n else None)
     _TABLES[key] = (n, table)
     return table
 
@@ -500,7 +503,6 @@ def pmf_float(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     hundreds, permutations into the thousands, in seconds).
     """
     _check_rank(r, "pmf_float", n, kind, side)
-    # an n-object has at most n components: every rank past n + 1 reads the rank n + 1 row
-    top, tau = _stored(_build_chain, (kind, side, min(r, n + 1)), n)
+    top, tau = _stored(_build_chain, (kind, side, r), n)
     probs = _row_pmf(top, n, r, side, tau[n])
     return ComponentPMF(kind, n, r, side, tuple(probs.tolist()))

@@ -24,8 +24,7 @@ tau_m = m^m e^-m/m!.
 
 Every route imports this module, so it is also the one home of the
 argument rule that every public entry point applies: whole for integer
-arguments, check_kind for the kind and side, and member for a kind or a
-side alone.
+arguments and member for a kind or a side, each checked alone.
 """
 
 from __future__ import annotations
@@ -70,21 +69,13 @@ def whole(value, low: int, what: str, high: int | None = None) -> int:
     return got
 
 
-def check_kind(kind: ObjectKind, side: Side, what: str) -> None:
-    """Refuse a kind or side that is not a member of its enum.
-
-    Every branch tests them with `is`: a string would be served as the
-    other kind or side, and stored under a key of its own.
-    """
-    if not isinstance(kind, ObjectKind) or not isinstance(side, Side):
-        raise ValueError(f"{what} requires an ObjectKind and a Side, got {kind!r}, {side!r}")
-
-
 def member(value, enum: type[Enum], what: str):
-    """value if it is a member of enum: check_kind for a kind or a side taken alone.
+    """value if it is a member of enum, such as a kind or a side.
 
-    Anything else is refused with a ValueError that names what: a string,
-    None or the other enum would be served as one of the members.
+    Every branch tests a kind or a side with `is`, so anything else is
+    refused with a ValueError that names what: a string, None or the other
+    enum would be served as one of the members, and stored under a key of
+    its own.
     """
     if not isinstance(value, enum):
         raise ValueError(f"{what} must be a member of {enum.__name__}, got {value!r}")

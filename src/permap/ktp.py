@@ -48,11 +48,11 @@ table, which it reads in place, it holds only the table it returns;
 built from rank 0, also the rank below.
 
 Every builder here takes its rank, n_max and an optional rank r-1 table
-of its own, held at a size >= n_max, with r <= n_max + 1: it runs ranks
-1..r from the all-zero rank 0, or rank r alone from that table, and never
-calls the store, which alone decides when to pass the table.  Every
-table, exact or float, lives in exact's one store and grows by its one
-rule, and row n of each is read by exact's one differencing rule, as
+of its own, held at a size >= n_max: it runs ranks 1..r from the all-zero
+rank 0, or rank r alone from that table, and never calls the store, which
+alone decides which table serves a rank and when to pass the table below.
+Every table, exact or float, lives in exact's one store and grows by its
+one rule, and row n of each is read by exact's one differencing rule, as
 Fractions over n! or as a guarded float PMF.
 """
 
@@ -143,9 +143,7 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     with each m raised by one; the difference telescopes to
     u_r(k, n) = n u_r(k, n-1) - F(n, k) [u_r(k, n-1-k) - u_{r-1}(k, n-1-k)].
     Each column runs ranks 1..r in turn from u_0, or rank r alone from
-    column k of lower, a rank r-1 table held at a size >= n_max, with
-    r <= n_max + 1; an n-permutation has at most n cycles, so ranks past
-    n_max + 1 (every cell n!) are not run.
+    column k of lower, a rank r-1 table held at a size >= n_max.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
     done = 0 if lower is None else r - 1  # ranks the held table ran
@@ -153,7 +151,7 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     for k in range(top_threshold(n_max, r, Side.LARGEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[k][: n_max + 1]
-        for _ in range(done, min(r, n_max + 1)):
+        for _ in range(done, r):
             low, row = row, [1] + [0] * n_max
             for n in range(1, n_max + 1):
                 row[n] = n * row[n - 1]

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinds import ObjectKind, Side, check_kind, member, total_count, whole
+from .kinds import ObjectKind, Side, member, total_count, whole
 from .stats import ComponentPMF
 
 _MAX_N = {ObjectKind.PERMUTATION: 8, ObjectKind.MAPPING: 7}
@@ -88,7 +88,8 @@ def _spectrum(kind: ObjectKind, n: int) -> Counter:
 
 def enumerate_pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked component size, by full enumeration."""
-    check_kind(kind, side, "enumerate_pmf")
+    member(kind, ObjectKind, "enumerate_pmf: kind")
+    member(side, Side, "enumerate_pmf: side")
     n = whole(n, 1, "enumerate_pmf: size n (the enumeration budget)", _MAX_N[kind])
     r = whole(r, 1, "enumerate_pmf: rank r")
     # r components of size > n // r do not fit; an r-th smallest of size m needs r - 1 others

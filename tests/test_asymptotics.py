@@ -174,6 +174,8 @@ def test_dickman_rejects_out_of_domain() -> None:
         dickman(1, -0.5)
     with pytest.raises(ValueError):
         dickman(1, 40.5)
+    with pytest.raises(ValueError, match="x=nan"):  # not "cannot convert float NaN to integer"
+        dickman(1, math.nan)
     for bad in (True, 2.0, 0):  # the message names the order
         for call in (lambda: dickman(bad, 1.0), lambda: largest_cdf(bad, 0.5),
                      lambda: median_xi(bad)):
@@ -243,6 +245,11 @@ def test_largest_cdf_rejects_out_of_domain() -> None:
     for x in (0.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             largest_cdf(2, x)
+    # 1/x past the Dickman tables' 40: the message names x, not 1/x
+    for x in (0.02, 1 / 40.5, math.nan):
+        with pytest.raises(ValueError, match=f"x={x!r}"):
+            largest_cdf(2, x)
+    assert largest_cdf(2, 1 / 40) == dickman(2, 40.0)
 
 
 def test_density_f_closed_forms() -> None:
@@ -267,6 +274,14 @@ def test_densities_reject_endpoints() -> None:
     for x in (0.0, 0.5, 0.7):
         with pytest.raises(ValueError):
             density_g(x)
+    # rho_2 at 1/x - 1 >= 40 lies past its table, where it is far from 0
+    # (rho_2(40) = 0.0457): such x are refused, not read as density 0
+    for x in (1 / 41, 1 / 50, 1e-9, math.nan):
+        with pytest.raises(ValueError, match=f"x={x!r}"):
+            density_g(x)
+    x = 1 / 40.9  # just above 1/41, where the density is near e^gamma
+    assert density_g(x) == pytest.approx(dickman(2, 1 / x - 1) / x, rel=1e-9)
+    assert 1.8 < density_g(x) < 1.9
 
 
 def test_mode_is_a_local_maximum_of_g() -> None:

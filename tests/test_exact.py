@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permap import exact
+from permap import exact, ktp
 from permap.exact import (
     INFINITY,
     PrecisionError,
@@ -403,12 +403,14 @@ def test_permutation_chain_is_the_gathered_chain_bit_for_bit() -> None:
 
 def test_chain_ranks_past_n_max_plus_one_give_its_table() -> None:
     # an m-object has at most m components, so levels past n_max + 1 change
-    # no cell; the gathered chain runs every level it is asked for
+    # no bit of any cell: the rank rule by which the store serves every rank
+    # past n + 1 from the rank n + 1 table.  The builder and the gathered
+    # chain both run every level they are asked for
     for kind in (P, M):
         for side in (L, S):
-            for n_max in (1, 2, 3, 5, 17, 40, 120):
+            for n_max in (1, 2, 3, 5, 17):
                 want, want_tau = _build_chain(kind, side, n_max + 1, n_max)
-                for r in (n_max + 2, n_max + 5, 3 * n_max + 7):
+                for r in (n_max + 2, n_max + 5):
                     got, tau = _build_chain(kind, side, r, n_max)
                     assert np.array_equal(got, want), (r, n_max)
                     assert np.array_equal(tau, want_tau), (r, n_max)
@@ -420,31 +422,55 @@ def test_one_column_chain_rows_are_the_wider_rows_bit_for_bit() -> None:
     # a one-column table sums each cell over j = 1..m row by row, as a wider
     # one does, though numpy's np.sum adds one contiguous column of 8 or more
     # rows pairwise; a permutation table reads its anti-diagonals from row 0
-    # at every step.  Row n of the one-column table of a rank past n + 1 at
-    # n_max = n (blocks of up to n rows; the rank n + 1 table, see above)
-    # holds the bits of row n of the rank n + 1 table grown to 5n/4 + 1
+    # at every step.  Row n of the one-column rank n + 1 table at n_max = n
+    # (blocks of up to n rows) holds the bits of row n of the rank n + 1
+    # table grown to 5n/4 + 1
     for kind in (P, M):
         for side in (L, S):
             for n in range(1, 41):
                 wide, _ = _build_chain(kind, side, n + 1, n * 5 // 4 + 1)
-                alone, _ = _build_chain(kind, side, n + 2, n)
+                alone, _ = _build_chain(kind, side, n + 1, n)
                 assert alone.shape[1] == 1 < wide.shape[1], (kind, side, n)
                 assert np.array_equal(wide[n, :1], alone[n]), (kind, side, n)
+
+
+def _store_reads(kind: ObjectKind, side: Side) -> dict:
+    """Each route that reads a rank at size n from the store: (read(r, n), sizes, r_max)."""
+    reads = {"pmf_float": (lambda r, n: pmf_float(kind, n, r, side).probs, (120,), None)}
+    if kind is P and side is L:
+        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, L).probs, (120,),
+                                    None)
+        reads["longest_table"] = (lambda r, n: ktp.longest_table(r, n + 3, n).counts, (0, 120),
+                                  None)
+    if kind is P and side is S:  # ranks 1..4 alone: past n + 1 at n <= 2
+        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, S).probs, (1, 2), 4)
+        reads["pmf_from_tables_float"] = (
+            lambda r, n: ktp.pmf_from_tables_float(r, n, S).probs, (1, 2), 4)
+        reads["shortest_table"] = (lambda r, n: ktp.shortest_table(r, n + 3, n).counts,
+                                   (0, 1, 2), 4)
+    return reads
 
 
 @pytest.mark.parametrize("kind", [P, M])
 @pytest.mark.parametrize("side", [L, S])
 def test_ranks_past_n_plus_one_read_the_rank_n_plus_one_table(monkeypatch, kind, side) -> None:
     # an n-object has at most n components, so every rank past n + 1 has the
-    # rank n + 1 PMF, and is served from that table: no key is added
-    monkeypatch.setattr(exact, "_TABLES", {})
-    n = 120
-    want = pmf_float(kind, n, n + 1, side).probs
-    keys = set(exact._TABLES)
-    for r in (n + 2, n + 7, 10**6):
-        got = pmf_float(kind, n, r, side)
-        assert got.rank == r and got.probs == want, r
-    assert set(exact._TABLES) == keys
+    # rank n + 1 PMF and table rows, and is served from that table: no key
+    # is added.  At n = 0 that is rank 2, since the shortest-side counts of
+    # rank 1 hold the recursion's base case 1 where rank 2 holds 0
+    for name, (read, sizes, r_max) in _store_reads(kind, side).items():
+        for n in sizes:
+            monkeypatch.setattr(exact, "_TABLES", {})
+            base = max(n, 1) + 1
+            want = read(base, n)
+            keys = set(exact._TABLES)
+            past = [r for r in (base + 1, base + 6, 10**6) if r_max is None or r <= r_max]
+            assert past, (name, n)
+            for r in past:
+                assert read(r, n) == want, (name, n, r)
+            assert set(exact._TABLES) == keys, (name, n)
+    if kind is P and side is S:
+        assert ktp.shortest_table(1, 1, 0).counts != ktp.shortest_table(2, 1, 0).counts
 
 
 def test_chain_from_the_rank_below_is_the_cold_chain_bit_for_bit() -> None:

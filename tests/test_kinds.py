@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permap.exact import support_length
+from permap import exact
+from permap.exact import largest_poly, pmf, pmf_float, smallest_poly, support_length
 from permap.kinds import ObjectKind, Side, connected_count, exp_log_weights, total_count
-from permap.oracle import decompose
+from permap.ktp import pmf_from_tables, pmf_from_tables_float
+from permap.oracle import decompose, enumerate_pmf
 
 P = ObjectKind.PERMUTATION
 M = ObjectKind.MAPPING
@@ -191,24 +193,39 @@ def test_enums_are_disjoint() -> None:
     assert Side.LARGEST is not Side.SMALLEST
 
 
-# each route takes a kind or a side alone, and a string, None or the other
-# enum must be refused by name: "largest" was served as the smallest side,
-# "permutation" as a mapping (connected_count 17 at n = 3, decompose (2,))
+# each route checks its kind and its side alone, and a string, None or the
+# other enum must be refused by name: "largest" was served as the smallest
+# side, "permutation" as a mapping (connected_count 17 at n = 3, decompose
+# (2,)).  Keyed by case: (route, argument, call)
 _ALONE = {
-    "connected_count": ("kind", lambda bad: connected_count(bad, 3)),
-    "total_count": ("kind", lambda bad: total_count(bad, 3)),
-    "exp_log_weights": ("kind", lambda bad: exp_log_weights(bad, 3)),
-    "decompose": ("kind", lambda bad: decompose(bad, [1, 1])),
-    "support_length": ("side", lambda bad: support_length(10, 2, bad)),
+    "connected_count": ("connected_count", "kind", lambda bad: connected_count(bad, 3)),
+    "total_count": ("total_count", "kind", lambda bad: total_count(bad, 3)),
+    "exp_log_weights": ("exp_log_weights", "kind", lambda bad: exp_log_weights(bad, 3)),
+    "decompose": ("decompose", "kind", lambda bad: decompose(bad, [1, 1])),
+    "support_length": ("support_length", "side", lambda bad: support_length(10, 2, bad)),
+    "largest_poly": ("largest_poly", "kind", lambda bad: largest_poly(bad, 3, (0, 0))),
+    "smallest_poly": ("smallest_poly", "kind", lambda bad: smallest_poly(bad, 3, (0, 0))),
+    "pmf-kind": ("pmf", "kind", lambda bad: pmf(bad, 3, 2, Side.LARGEST)),
+    "pmf-side": ("pmf", "side", lambda bad: pmf(P, 3, 2, bad)),
+    "pmf_float-kind": ("pmf_float", "kind", lambda bad: pmf_float(bad, 3, 2, Side.SMALLEST)),
+    "pmf_float-side": ("pmf_float", "side", lambda bad: pmf_float(M, 3, 2, bad)),
+    "pmf_from_tables": ("pmf_from_tables", "side", lambda bad: pmf_from_tables(2, 3, bad)),
+    "pmf_from_tables_float": ("pmf_from_tables_float", "side",
+                              lambda bad: pmf_from_tables_float(2, 3, bad)),
+    "enumerate_pmf-kind": ("enumerate_pmf", "kind",
+                           lambda bad: enumerate_pmf(bad, 3, 2, Side.LARGEST)),
+    "enumerate_pmf-side": ("enumerate_pmf", "side", lambda bad: enumerate_pmf(P, 3, 2, bad)),
 }
 _NON_MEMBERS = {"kind": ("permutation", None, Side.LARGEST), "side": ("largest", None, P)}
 
 
-@pytest.mark.parametrize("route", list(_ALONE))
-def test_routes_taking_a_kind_or_side_alone_refuse_non_members(route) -> None:
-    name, call = _ALONE[route]
+@pytest.mark.parametrize("case", list(_ALONE))
+def test_routes_taking_a_kind_or_side_alone_refuse_non_members(monkeypatch, case) -> None:
+    route, name, call = _ALONE[case]
+    monkeypatch.setattr(exact, "_TABLES", {})
     cached = (connected_count.cache_info().currsize, total_count.cache_info().currsize)
     for bad in _NON_MEMBERS[name]:
         with pytest.raises(ValueError, match=f"{route}: {name} must be a member of"):
             call(bad)
+    assert not exact._TABLES
     assert (connected_count.cache_info().currsize, total_count.cache_info().currsize) == cached

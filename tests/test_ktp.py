@@ -570,7 +570,8 @@ def test_rank_order_does_not_move_a_bit(monkeypatch) -> None:
 
 def test_no_build_past_rank_n_plus_one_starts_from_the_rank_below(monkeypatch) -> None:
     # past rank n + 1 every cell at sizes <= n is settled, so the store
-    # builds from rank 0 even though it holds the rank below at size n
+    # builds no table past rank n + 1: ranks 7 and 8 at n = 5 read the rank
+    # 6 table, which is built from rank 0
     monkeypatch.setattr(exact, "_TABLES", {})
     builds = []
     for module, name in ((exact, "_build_chain"), (ktp, "_u_rows")):
@@ -585,12 +586,8 @@ def test_no_build_past_rank_n_plus_one_starts_from_the_rank_below(monkeypatch) -
             for side in (L, S):
                 assert exact.pmf_float(kind, n, r, side).probs == (1.0,), (kind, side, r)
         assert pmf_from_tables(r, n, L).probs == (Fraction(1),), r
-    # pmf_float reads ranks 7 and 8 from the rank 6 chain: one chain build
-    # per kind and side, and one exact table build per rank
-    assert sorted(builds) == [("_build_chain", n + 1, n, True)] * 4 + [
-        ("_u_rows", r, n, True) for r in (6, 7, 8)]
-    for name, r, n_max, cold in builds:
-        assert n_max == n and (cold or r <= n_max + 1), (name, r)
+    # one chain build per kind and side, and one exact table build, all at rank 6
+    assert sorted(builds) == [("_build_chain", n + 1, n, True)] * 4 + [("_u_rows", n + 1, n, True)]
 
 
 # ---------------------------------------------------------------------------

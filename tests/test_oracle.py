@@ -182,9 +182,10 @@ def test_bool_sizes_and_ranks_are_refused() -> None:
 
 
 def test_kinds_and_sides_that_are_not_members_are_refused() -> None:
-    # a string kind or side would be served as the other one
-    for kind, side in (("permutation", L), (P, "largest"), (P, "smallest"), (None, S)):
-        with pytest.raises(ValueError, match="ObjectKind and a Side"):
+    # a string kind or side would be served as the other one; the refusal names it
+    for kind, side, bad in (("permutation", L, "kind"), (P, "largest", "side"),
+                            (P, "smallest", "side"), (None, S, "kind")):
+        with pytest.raises(ValueError, match=f"enumerate_pmf: {bad} must be a member of"):
             enumerate_pmf(kind, 5, 2, side)
 
 
