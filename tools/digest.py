@@ -8,8 +8,11 @@ rank 0 and warm from a held rank r-1 table), the exact and float
 permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
 warm), the public ktp tables and PMFs read through the store at ranks up
 to and past n + 1 (sizes asked in ascending and in descending order), the
-pieces of each Dickman table, and the stdout and exit code of every
-command that prints a published table or constant.  Two checkouts compute the same numbers when their outputs
+summaries (stats.summarize) of the float PMFs at every size up to 200
+(permutations) and 100 (mappings) and of the exact PMFs up to 12, both
+kinds and sides, ranks 1..4, the pieces of each Dickman table, and the
+stdout and exit code of every command that prints a published table or
+constant.  Two checkouts compute the same numbers when their outputs
 have no diff:
 
     diff <(python3 tools/digest.py) <(python3 /other/checkout/tools/digest.py)
@@ -25,6 +28,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,6 +36,7 @@ sys.path.insert(0, str(SRC))
 
 from permap import asymptotics, exact, ktp  # noqa: E402
 from permap.kinds import ObjectKind, Side  # noqa: E402
+from permap.stats import summarize  # noqa: E402
 
 RANKS = (1, 2, 3, 4)
 # the paper's largest sizes, plus small ones where ranks pass n + 1 or a
@@ -42,6 +47,9 @@ V_NORM_SIZES = (1, 2, 3, 5, 37, 200, 1500)
 EXACT_SIZES = (0, 1, 2, 3, 5, 37, 120)
 # sizes of the store reads; each is asked at ranks 1..4 and past n + 1
 STORE_SIZES = (0, 1, 2, 3, 5, 20)
+# summaries of every size 1..top: float PMFs per kind, exact PMFs of both kinds
+SUMMARY_TOPS = {ObjectKind.PERMUTATION: 200, ObjectKind.MAPPING: 100}
+EXACT_SUMMARY_TOP = 12
 
 PERM_SIZES = "1000,1500,2000,2500"
 COMMANDS = [
@@ -142,6 +150,29 @@ def store_lines() -> list[str]:
     return lines
 
 
+def _summary_sha(pmfs) -> str:
+    # mean, variance, median, mode and the normalised values; str writes a
+    # Fraction as "p/q" and a float by its shortest round-trip digits
+    text = "\n".join(" ".join(map(str, astuple(summarize(p)))) for p in pmfs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def summary_lines() -> list[str]:
+    lines = []
+    exact._TABLES.clear()
+    for kind, top in SUMMARY_TOPS.items():
+        for side in Side:
+            for r in RANKS:
+                pmfs = (exact.pmf_float(kind, n, r, side) for n in range(1, top + 1))
+                lines.append(f"{_summary_sha(pmfs)}  summarize pmf_float "
+                             f"{kind.value} {side.value} r={r} n=1..{top}")
+    exact._TABLES.clear()
+    pmfs = (exact.pmf(kind, n, r, side) for kind in ObjectKind for side in Side
+            for r in RANKS for n in range(1, EXACT_SUMMARY_TOP + 1))
+    lines.append(f"{_summary_sha(pmfs)}  summarize pmf n=1..{EXACT_SUMMARY_TOP}")
+    return lines
+
+
 def dickman_lines() -> list[str]:
     lines = []
     for r in RANKS:
@@ -163,8 +194,8 @@ def command_lines() -> list[str]:
 
 
 def main() -> int:
-    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, dickman_lines,
-                  command_lines):
+    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, summary_lines,
+                  dickman_lines, command_lines):
         for line in group():
             print(line, flush=True)
     return 0
