@@ -80,8 +80,8 @@ class DickmanTable:
         return min(1.0, max(0.0, val))
 
 
-def _build_table(r: int, x_max: int) -> DickmanTable:
-    """rho_r on [0, x_max], one piece per unit interval, each from the one before.
+def _build_table(r: int) -> DickmanTable:
+    """rho_r on [0, _X_MAX], one piece per unit interval, each from the one before.
 
     On [m, m+1], rho_r(x) = rho_r(m) - integral from m to x of
     (rho_r(t-1) - rho_{r-1}(t-1))/t dt: the integrand is interpolated at
@@ -97,7 +97,7 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
     nodes = chebyshev.chebpts1(_DEGREE + 1)
     vander = chebyshev.chebvander(nodes, _DEGREE)
     coefs = [np.array([1.0])]  # rho_r = 1 on [0, 1]
-    for m in range(1, x_max):
+    for m in range(1, _X_MAX):
         lo, hi = float(m), float(m + 1)
         t = 0.5 * ((hi - lo) * nodes + lo + hi)
         # t - 1 and m in the window of the previous pieces, which cover [m-1, m]
@@ -113,12 +113,12 @@ def _build_table(r: int, x_max: int) -> DickmanTable:
         integral = chebyshev.chebint(c, lbnd=off + scl * lo, scl=1.0 / scl)
         coefs.append(chebyshev.chebsub(own[-1:], integral))
     pieces = tuple(Chebyshev(c, domain=(float(m), float(m + 1))) for m, c in enumerate(coefs))
-    return DickmanTable(r=r, x_max=float(x_max), pieces=pieces)
+    return DickmanTable(r=r, x_max=float(_X_MAX), pieces=pieces)
 
 
 @cache
 def _table(r: int) -> DickmanTable:
-    return _build_table(r, _X_MAX)
+    return _build_table(r)
 
 
 def dickman(r: int, x: float) -> float:
@@ -204,9 +204,6 @@ class MomentConstant:
     error: float        # achieved quadrature bound (0 for closed forms)
 
 
-_MOMENTS: dict[tuple, MomentConstant] = {}
-
-
 def _quad_pair(f) -> tuple[float, float]:
     """Integrate f over (0, inf): t*t substitution on (0,1), direct beyond."""
     head = quad(lambda t: 2.0 * t * f(t * t), 0.0, 1.0,
@@ -221,29 +218,29 @@ def _quad_pair(f) -> tuple[float, float]:
 
 
 def _check_params(a, r: int, h: int, what: str) -> tuple[Fraction, int, int]:
-    """a as a Fraction, 1 or 1/2 (never a bool), and r in 2..4, h in 1..2 as ints."""
-    if isinstance(a, bool) or Fraction(a) not in (Fraction(1), Fraction(1, 2)):
+    """a as a Fraction, 1 or 1/2 (never a bool or a string), and r in 2..4, h in 1..2 as ints."""
+    if isinstance(a, bool) or a not in (1, Fraction(1, 2)):
         raise ValueError(f"{what}: exp-log parameter a must be 1 or 1/2, got {a!r}")
-    return Fraction(a), whole(r, 2, f"{what}: rank r", 4), whole(h, 1, f"{what}: height h", 2)
+    a = Fraction(1) if a == 1 else Fraction(1, 2)  # Fraction(a) refuses numpy float32
+    return a, whole(r, 2, f"{what}: rank r", 4), whole(h, 1, f"{what}: height h", 2)
 
 
 def moment_L(a, r: int, h: int) -> MomentConstant:
     """Limit constant of the normalised h-th moment, r-th largest component."""
-    a, r, h = _check_params(a, r, h, "moment_L")
-    key = (Side.LARGEST, a, r, h)
-    if key not in _MOMENTS:
-        af = float(a)
+    return _moment_L(*_check_params(a, r, h, "moment_L"))
 
-        def f(x: float) -> float:
-            e = exp_integral(x)
-            return x ** (h - 1) * e ** (r - 1) * math.exp(-af * e - x)
 
-        front = math.gamma(af + 1.0) * af ** (r - 1) / (
-            math.gamma(af + h) * math.factorial(r - 1))
-        val, err = _quad_pair(f)
-        _MOMENTS[key] = MomentConstant(a, r, h, Side.LARGEST, front * val,
-                                       corrected=False, error=front * err)
-    return _MOMENTS[key]
+@cache
+def _moment_L(a: Fraction, r: int, h: int) -> MomentConstant:
+    af = float(a)
+
+    def f(x: float) -> float:
+        e = exp_integral(x)
+        return x ** (h - 1) * e ** (r - 1) * math.exp(-af * e - x)
+
+    front = math.gamma(af + 1.0) * af ** (r - 1) / (math.gamma(af + h) * math.factorial(r - 1))
+    val, err = _quad_pair(f)
+    return MomentConstant(a, r, h, Side.LARGEST, front * val, corrected=False, error=front * err)
 
 
 def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
@@ -256,24 +253,25 @@ def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
     a, r, h = _check_params(a, r, h, "moment_S")
     if corrected and a != Fraction(1, 2):
         raise ValueError("the sqrt(2) correction applies to mappings (a = 1/2) only")
-    key = (Side.SMALLEST, a, r, h, corrected)
-    if key not in _MOMENTS:
-        af = float(a)
-        if Fraction(h) == a:
-            val = math.exp(-h * _EULER_GAMMA) * af ** (r - 1) / math.factorial(r)
-            err = 0.0
-        else:
-            def f(x: float) -> float:
-                return x ** (h - 1) * math.exp(af * exp_integral(x) - x)
+    return _moment_S(a, r, h, corrected)
 
-            front = math.gamma(af + 1.0) / (
-                math.factorial(h - 1) * math.factorial(r - 1))
-            val, err = _quad_pair(f)
-            val, err = front * val, front * err
-        if corrected:
-            val, err = math.sqrt(2.0) * val, math.sqrt(2.0) * err
-        _MOMENTS[key] = MomentConstant(a, r, h, Side.SMALLEST, val, corrected, err)
-    return _MOMENTS[key]
+
+@cache
+def _moment_S(a: Fraction, r: int, h: int, corrected: bool) -> MomentConstant:
+    af = float(a)
+    if Fraction(h) == a:
+        val = math.exp(-h * _EULER_GAMMA) * af ** (r - 1) / math.factorial(r)
+        err = 0.0
+    else:
+        def f(x: float) -> float:
+            return x ** (h - 1) * math.exp(af * exp_integral(x) - x)
+
+        front = math.gamma(af + 1.0) / (math.factorial(h - 1) * math.factorial(r - 1))
+        val, err = _quad_pair(f)
+        val, err = front * val, front * err
+    if corrected:
+        val, err = math.sqrt(2.0) * val, math.sqrt(2.0) * err
+    return MomentConstant(a, r, h, Side.SMALLEST, val, corrected, err)
 
 
 def constants_catalog() -> list[tuple[str, float, float]]:

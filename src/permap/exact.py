@@ -64,12 +64,8 @@ grown table of this module and of ktp lives in one store (_stored) with
 one grow rule.  The one exception is ktp's Stirling cycle table
 (_STIRLING): _stirling_rows appends its rows one at a time by their
 recurrence, and never rebuilds them.  Create none of your own state
-here.  A table builder is a
-pure function of its rank, n_max and an optional rank r-1 table of its own
-builder, held at a size >= n_max: it runs ranks 1..r from the all-zero
-rank 0, or rank r alone from that table, which it reads in place and never
-writes, and it never calls the store; the store alone decides which table
-serves a request and when to pass the table below (_stored).
+here.  The protocol between the table builders and the store is stated
+once, in _stored.
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
@@ -217,15 +213,12 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
 def _poly(kind: ObjectKind, side: Side, n: int, ranks: Sequence[RankEntry]) -> RowPolynomial:
     member(kind, ObjectKind, f"{side.value}_poly: kind")  # the side is the caller's own
     n = whole(n, 0, "size n")  # the big-integer recursion must not run on numpy ints
-    window = tuple(sorted(ranks))
+    window = tuple(sorted(entry if entry == INFINITY else whole(entry, 0, "rank window entry")
+                          for entry in ranks))
     if not window:
         raise ValueError("rank window must have at least one entry")
-    for entry in window:
-        if entry == INFINITY and side is Side.LARGEST:
-            raise ValueError("INFINITY entries only make sense on the smallest side")
-        integer = isinstance(entry, int) and not isinstance(entry, bool)
-        if entry != INFINITY and (not integer or entry < 0):
-            raise ValueError(f"rank window entries must be integers >= 0, got {entry!r}")
+    if window[-1] == INFINITY and side is Side.LARGEST:
+        raise ValueError("rank window entry INFINITY only makes sense on the smallest side")
     return RowPolynomial(_row_coeffs(kind, side, n, window), n, side)
 
 
@@ -421,11 +414,18 @@ _TABLES: dict[tuple, tuple[int, object]] = {}
 def _stored(build, args: tuple, n: int):
     """build(*args, n_max, lower), kept per (build, args) and reused while big enough.
 
-    n is the largest size a request reads, and args end with the rank r.
-    The rank rule, applied here alone: an object of size m <= n has at most
-    n components, so its r-th largest and r-th smallest sizes are 0 for
-    every r > n, and rows 0..n of a table are the same at every rank past
-    n + 1.  So the store serves rank r from the table of rank
+    The protocol of every table builder, here and in ktp: a builder is a
+    pure function of args, which end with the rank r, of n_max and of
+    lower, None or a rank r-1 table of its own builder held at a size
+    >= n_max.  It runs ranks 1..r from the all-zero rank 0, or rank r
+    alone from lower, which it reads in place and never writes, and it
+    never calls the store.  The store alone decides which table serves a
+    request and when to pass the table below.
+
+    n is the largest size a request reads.  The rank rule, applied here
+    alone: an object of size m <= n has at most n components, so its r-th
+    largest and r-th smallest sizes are 0 for every r > n, and rows 0..n
+    of a table are the same at every rank past n + 1.  So the store serves rank r from the table of rank
     min(r, max(n, 1) + 1) and keeps none past it.  The floor is rank 2 at
     n = 0, where rank 1 alone differs: ktp's shortest-side counts hold
     v_1(k, 0) = 1, the base case of their recursion, where every higher
@@ -436,13 +436,11 @@ def _stored(build, args: tuple, n: int):
     table held at a size below n is rebuilt at n_max = max(n, 5/4 of held),
     so requests for n = 1..N in ascending order cost O(log N) builds.  When
     the store holds the same builder's rank r-1 table at a size >= n_max,
-    it passes that table as lower, and the build runs rank r alone from it;
-    otherwise lower is None, and the build runs ranks 1..r from the all-zero
-    rank 0.  This is the one place that decides it.  The cells are the same
-    either way, so a rank sweep r = 2, 3, 4 builds each rank once, and no
-    table is kept beyond one per key.  The store holds tables and computes
-    nothing, and build never calls it, so every build is one call whose
-    size is known up front.
+    it passes that table as lower; otherwise lower is None.  The cells are
+    the same either way, so a rank sweep r = 2, 3, 4 builds each rank
+    once, and no table is kept beyond one per key.  The store holds tables
+    and computes nothing, and build never calls it, so every build is one
+    call whose size is known up front.
     """
     *head, r = args
     r = min(r, max(n, 1) + 1)

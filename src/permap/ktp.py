@@ -47,13 +47,10 @@ view, as exact's permutation chain does.  Built from a held rank r-1
 table, which it reads in place, it holds only the table it returns;
 built from rank 0, also the rank below.
 
-Every builder here takes its rank, n_max and an optional rank r-1 table
-of its own, held at a size >= n_max: it runs ranks 1..r from the all-zero
-rank 0, or rank r alone from that table, and never calls the store, which
-alone decides which table serves a rank and when to pass the table below.
-Every table, exact or float, lives in exact's one store and grows by its
-one rule, and row n of each is read by exact's one differencing rule, as
-Fractions over n! or as a guarded float PMF.
+Every builder here keeps the builder and store protocol stated in
+exact._stored.  Every table, exact or float, lives in exact's one store
+and grows by its one rule, and row n of each is read by exact's one
+differencing rule, as Fractions over n! or as a guarded float PMF.
 """
 
 from __future__ import annotations
@@ -273,8 +270,8 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     sizes 0, 1, 2, ... in order from 0.0 at every table width.  The
     correction D_q[k, n] = delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ...,
     1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_3 are built once
-    from the harmonic sums and row n of D_q is a slice of one of them,
-    reversed once up front; no D table is held.  Ranks run from q = 1 over
+    from the harmonic sums and row n of D_q is a reversed view of a slice
+    of one of them; no D table is held.  Ranks run from q = 1 over
     the all-zero rank 0, or rank r alone from lower, a rank r-1 table held
     at a size >= n_max, read in place through its own width and never
     written, whose rows and columns up to this table's are the bits the
@@ -289,7 +286,6 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     """
     width = top_threshold(n_max, r, Side.SMALLEST) + 1
     e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
-    back = [values[::-1].copy() for values in e]  # back[i] = e[n_max - i]
     d = np.empty(width)  # D_q[t+1, n] for t < end
     z = lower  # the rank below; None before rank 1
     for q in range(1 if lower is None else r, r + 1):
@@ -308,7 +304,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
             if q == 1:
                 np.divide(diag[:end], n, out=cell)
             elif end:  # (below_row - below_diag + diag) / n + D_q[t+1, n]
-                np.divide(back[q - 2][n_max + 1 - n : n_max + 1 - n + end], n, out=d[:end])
+                np.divide(e[q - 2][n - end : n][::-1], n, out=d[:end])
                 np.subtract(below_row[:end], below_diag[:end], out=cell)
                 cell += diag[:end]
                 cell /= n

@@ -13,20 +13,24 @@ Normalisations follow the finite-n table conventions:
                                   variance/(n^(3/2) log(n)^(r-1))
                     median/n; the mode is reported raw (no table normalises it)
 
-The median is the greatest k whose CDF is still below one half -- the
-floor of the point where the cumulative distribution crosses 1/2.  The
-finite-n reference medians (both sides, both kinds, transition claims
-included) all follow this convention and not the usual least k with
-CDF >= 1/2, which lands one node higher whenever the crossing falls
-strictly inside a step.  Modes are the least maximiser.
+The median is read from ComponentPMF.cdf(): the greatest k whose CDF is
+still below one half (0 if there is none) -- the floor of the point
+where the cumulative distribution crosses 1/2.  The finite-n reference
+medians (both sides, both kinds, transition claims included) all follow
+this convention and not the usual least k with CDF >= 1/2, which lands
+one node higher whenever the crossing falls strictly inside a step.  A
+Fraction compares exactly with the float 0.5, so one test serves exact
+and float PMFs.  The mode is read from the probabilities: the least
+maximiser.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .kinds import ObjectKind, Side
 
@@ -65,27 +69,6 @@ class SummaryStats:
     normalized_mode: float
 
 
-def _median(probs: Sequence[Prob]) -> int:
-    acc = 0
-    best = 0
-    half = Fraction(1, 2) if isinstance(probs[0], Fraction) else 0.5
-    for k, p in enumerate(probs):
-        acc += p
-        if acc < half:
-            best = k
-        else:
-            break
-    return best
-
-
-def _mode(probs: Sequence[Prob]) -> int:
-    best, arg = probs[0], 0
-    for k, p in enumerate(probs):
-        if p > best:
-            best, arg = p, k
-    return arg
-
-
 def _per_log_power(value: float, factor: float, logn: float, power: int) -> float:
     """value / (factor * logn**power), in logarithms when logn**power is no float.
 
@@ -106,8 +89,8 @@ def summarize(pmf: ComponentPMF) -> SummaryStats:
     mean = sum(k * p for k, p in enumerate(probs))
     second = sum(k * k * p for k, p in enumerate(probs))
     variance = second - mean * mean
-    median = _median(probs)
-    mode = _mode(probs)
+    median = max(bisect_left(pmf.cdf(), 0.5) - 1, 0)
+    mode = probs.index(max(probs))
 
     n, r = pmf.n, pmf.rank
     logn = math.log(n)

@@ -364,6 +364,17 @@ def test_moment_parameter_validation() -> None:
         moment_L(1, 2, 3)
     with pytest.raises(ValueError):
         moment_S(1, 2, 1, corrected=True)  # correction applies to a=1/2 only
+    # a is compared as it is, never parsed: a string is refused by name, not read as a Fraction
+    for moment in (moment_L, moment_S):
+        for bad in ("1/2", "1", None, True):
+            with pytest.raises(ValueError, match="exp-log parameter a"):
+                moment(bad, 2, 1)
+        for a, want in ((1, Fraction(1)), (1.0, Fraction(1)), (0.5, Fraction(1, 2)),
+                        (Fraction(1, 2), Fraction(1, 2)), (np.float64(0.5), Fraction(1, 2)),
+                        (np.float32(0.5), Fraction(1, 2))):
+            got = moment(a, 2, 1)
+            assert got.a == want and type(got.a) is Fraction
+            assert got == moment(want, 2, 1)
     for moment in (moment_L, moment_S):  # the message names the argument
         for bad in (True, 2.0, 1):
             with pytest.raises(ValueError, match="rank r"):
@@ -377,7 +388,10 @@ def test_bool_and_float_arguments_are_refused_before_the_caches(monkeypatch) -> 
     # True == 1.0 == 1: moment_L(1, 2, True) was served, and cached, with
     # h = True, moment_S(True, 2, 1) as a = 1, and dickman(True, x) and
     # median_xi(True) as order 1; moment_L(1, 2.0, 1) failed with a TypeError
-    monkeypatch.setattr(asymptotics, "_MOMENTS", {})
+    caches = (asymptotics._moment_L, asymptotics._moment_S)
+    for cached in caches:
+        cached.cache_clear()
+    empty = [cached.cache_info() for cached in caches]
     asymptotics._table(1)  # a cached order-1 table would serve the order True
     tables = asymptotics._table.cache_info()
     for call in (lambda: moment_L(1, 2, True), lambda: moment_L(1, 2.0, 1),
@@ -385,7 +399,7 @@ def test_bool_and_float_arguments_are_refused_before_the_caches(monkeypatch) -> 
                  lambda: median_xi(True)):
         with pytest.raises(ValueError):
             call()
-        assert asymptotics._MOMENTS == {}
+        assert [cached.cache_info() for cached in caches] == empty
         assert asymptotics._table.cache_info() == tables
     h = moment_L(1, 2, 1).h
     assert h == 1 and type(h) is int

@@ -410,11 +410,14 @@ def test_quadrature_guard_exits_3_without_a_traceback(capsys, monkeypatch) -> No
         return 1.0, 1e-3, {}
 
     monkeypatch.setattr(asymptotics, "quad", inaccurate)
-    monkeypatch.setattr(asymptotics, "_MOMENTS", {})
+    caches = (asymptotics._moment_L, asymptotics._moment_S)
+    for cached in caches:  # a cached constant would not reach the quadrature
+        cached.cache_clear()
     code, out, err = run(capsys, "constants")
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "quadrature" in err
+    assert all(cached.cache_info().currsize == 0 for cached in caches)
 
 
 def test_doctored_dickman_table_exits_3_without_a_traceback(capsys, monkeypatch) -> None:

@@ -170,21 +170,34 @@ def test_row_polynomial_metadata() -> None:
 
 
 def test_largest_rejects_infinite_entries() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank window entry INFINITY"):
         largest_poly(P, 3, (0, INFINITY))
 
 
 def test_windows_reject_bad_entries() -> None:
-    with pytest.raises(ValueError):
+    # every refusal names the entry
+    with pytest.raises(ValueError, match="rank window must have at least one entry"):
         largest_poly(P, 3, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank window entry must be an int >= 0, got -1"):
         largest_poly(P, 3, (-1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank window entry must be an int >= 0, got 1.5"):
         smallest_poly(P, 3, (1.5, INFINITY))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank window entry must be an int >= 0, got True"):
         largest_poly(P, 3, (True, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank window entry must be an int >= 0, got True"):
         smallest_poly(P, 3, [True])
+
+
+def test_numpy_int_window_entries_are_served_as_ints() -> None:
+    # as on every other route, by the one argument rule (kinds.whole)
+    for kind in (P, M):
+        for window in ((0, 0), (1, 2), (0, 3)):
+            for cast in (np.int64, np.int32):
+                wide = tuple(cast(entry) for entry in window)
+                assert largest_poly(kind, 5, wide) == largest_poly(kind, 5, window)
+                assert smallest_poly(kind, 5, wide) == smallest_poly(kind, 5, window)
+                assert (smallest_poly(kind, 5, (*wide, INFINITY))
+                        == smallest_poly(kind, 5, (*window, INFINITY)))
 
 
 @pytest.mark.parametrize("poly", [largest_poly, smallest_poly])

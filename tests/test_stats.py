@@ -38,6 +38,9 @@ def test_median_is_floor_of_cdf_crossing() -> None:
     # when the CDF lands exactly on 1/2 the node itself is not below it
     assert summarize(synthetic([Fraction(1, 2), Fraction(1, 2)])).median == 0
     assert summarize(synthetic([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])).median == 0
+    assert summarize(synthetic([0.25, 0.25, 0.5])).median == 0  # a float CDF on 0.5 exactly
+    # a CDF below one half throughout: the last index
+    assert summarize(synthetic([0.1, 0.1, 0.1])).median == 2
 
 
 def test_median_transition_small_permutations() -> None:
