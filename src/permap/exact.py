@@ -425,11 +425,11 @@ def _stored(build, args: tuple, n: int):
     n is the largest size a request reads.  The rank rule, applied here
     alone: an object of size m <= n has at most n components, so its r-th
     largest and r-th smallest sizes are 0 for every r > n, and rows 0..n
-    of a table are the same at every rank past n + 1.  So the store serves rank r from the table of rank
-    min(r, max(n, 1) + 1) and keeps none past it.  The floor is rank 2 at
-    n = 0, where rank 1 alone differs: ktp's shortest-side counts hold
-    v_1(k, 0) = 1, the base case of their recursion, where every higher
-    rank holds 0.
+    of a table are the same at every rank past n + 1.  So the store
+    serves rank r from the table of rank min(r, max(n, 1) + 1) and keeps
+    none past it.  The floor is rank 2 at n = 0, where rank 1 alone
+    differs: ktp's shortest-side counts hold v_1(k, 0) = 1, the base case
+    of their recursion, where every higher rank holds 0.
 
     Every table's thresholds are derived from its rank and n_max
     (top_threshold), so one held size fixes the whole table.  A stored
