@@ -10,7 +10,10 @@ warm), the public ktp tables and PMFs read through the store at ranks up
 to and past n + 1 (sizes asked in ascending and in descending order), the
 summaries (stats.summarize) of the float PMFs at every size up to 200
 (permutations) and 100 (mappings) and of the exact PMFs up to 12, both
-kinds and sides, ranks 1..4, the pieces of each Dickman table, and the
+kinds and sides, ranks 1..4, the window recursion's exact PMFs
+(exact.pmf) at ranks 1..4 and every size up to 40 (permutations) and 30
+(mappings), asked in ascending order so that each sweep crosses several
+slot widths of the window memo, the pieces of each Dickman table, and the
 stdout and exit code of every command that prints a published table or
 constant.  Two checkouts compute the same numbers when their outputs
 have no diff:
@@ -50,6 +53,8 @@ STORE_SIZES = (0, 1, 2, 3, 5, 20)
 # summaries of every size 1..top: float PMFs per kind, exact PMFs of both kinds
 SUMMARY_TOPS = {ObjectKind.PERMUTATION: 200, ObjectKind.MAPPING: 100}
 EXACT_SUMMARY_TOP = 12
+# window-recursion PMFs of every size 1..top: t_n outgrows two or more slot widths
+WINDOW_TOPS = {ObjectKind.PERMUTATION: 40, ObjectKind.MAPPING: 30}
 
 PERM_SIZES = "1000,1500,2000,2500"
 COMMANDS = [
@@ -173,6 +178,19 @@ def summary_lines() -> list[str]:
     return lines
 
 
+def window_lines() -> list[str]:
+    lines = []
+    for kind, top in WINDOW_TOPS.items():
+        for side in Side:
+            exact._MEMO.clear()
+            text = "\n".join(" ".join(map(str, exact.pmf(kind, n, r, side).probs))
+                             for n in range(1, top + 1) for r in RANKS)
+            lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  "
+                         f"pmf {kind.value} {side.value} r=1..4 n=1..{top} ascending")
+    exact._MEMO.clear()
+    return lines
+
+
 def dickman_lines() -> list[str]:
     lines = []
     for r in RANKS:
@@ -195,7 +213,7 @@ def command_lines() -> list[str]:
 
 def main() -> int:
     for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, summary_lines,
-                  dickman_lines, command_lines):
+                  window_lines, dickman_lines, command_lines):
         for line in group():
             print(line, flush=True)
     return 0
