@@ -251,6 +251,8 @@ def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
     the mapping (a = 1/2) statistics empirically need.
     """
     a, r, h = _check_params(a, r, h, "moment_S")
+    if not isinstance(corrected, bool):  # 1 == True would share, and set, its cache entry
+        raise ValueError(f"moment_S: corrected must be a bool, got {corrected!r}")
     if corrected and a != Fraction(1, 2):
         raise ValueError("the sqrt(2) correction applies to mappings (a = 1/2) only")
     return _moment_S(a, r, h, corrected)

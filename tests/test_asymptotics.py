@@ -382,6 +382,11 @@ def test_moment_parameter_validation() -> None:
         for bad in (True, 2.0, 0):
             with pytest.raises(ValueError, match="height h"):
                 moment(1, 2, bad)
+    # corrected is a bool: 1 was served and cached as .corrected == 1, later
+    # returned for corrected=True, and '' was served as the uncorrected constant
+    for bad in (1, 0, "", None):
+        with pytest.raises(ValueError, match="corrected"):
+            moment_S(Fraction(1, 2), 2, 1, corrected=bad)
 
 
 def test_bool_and_float_arguments_are_refused_before_the_caches(monkeypatch) -> None:
