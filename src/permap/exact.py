@@ -16,10 +16,11 @@ any real size); on the smallest side it starts as r copies of INFINITY
 (placeholders above any real size), and a surviving INFINITY digest
 means the object had fewer than r components, reported as size 0.
 
-The memo keys a row on m, the number of nodes left, and a canonical
-window; later components have size <= m.  Largest side: once the minimum
-is >= m the row is t_m x^min; otherwise an entry >= m is never displaced,
-and is the digest only beside one size-m component: it is stored as m.
+The memo keys a row on one flat tuple (m, *window): m, the number of
+nodes left, then a canonical window; later components have size <= m.
+Largest side: once the minimum is >= m the row is t_m x^min; otherwise
+an entry >= m is never displaced, and is the digest only beside one
+size-m component: it is stored as m.
 Smallest side, m >= 1: the next component displaces a maximum >= m, or
 ties it, so the maximum is stored as INFINITY.
 
@@ -30,9 +31,12 @@ request unpacks its row once.  Every coefficient of a row at
 (m, window) lies in 0..t_m, so slots of bits(t_n) + 2 bits never carry
 for a request of size n; the unpacked row must still sum to t_n (a
 carry would lower the sum), or ArithmeticError is raised.  A packed row
-is valid at its own slot width only: each memo holds one width, a power
-of two >= 64, and a request that needs wider slots starts a fresh memo
-rather than mixing widths, so an ascending sweep rebuilds O(log n) times.
+is valid at its own slot width only: each memo holds one width, the
+smallest multiple of 64 bits that holds bits(t_n) + 2, and a request
+that needs wider slots starts a fresh memo rather than mixing widths, so
+an ascending sweep rebuilds once per 64 bits of t_n: for permutations up
+to n = 60 at n = 21, 34, 46 and 57 (320-bit slots), for mappings at
+n = 16, 27, 37, 46 and 56 (384-bit slots at n = 60).
 
 The float engine runs the same recursion normalised by the total count
 t_n.  Tracking whole windows in floating point is hopeless at table
@@ -145,46 +149,50 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
     need = total_count(kind, n).bit_length() + 2
     width, rows = _MEMO.get((kind, side), (0, {}))
     if width < need:  # rows are valid at one width: start afresh, never mix
-        width, rows = max(64, 1 << (need - 1).bit_length()), {}
+        width, rows = -(-need // 64) * 64, {}
         _MEMO[kind, side] = width, rows
     totals = [total_count(kind, m) for m in range(n + 1)]
     r = len(window)
 
-    # largest/smallest(m, ranks) run one step from a canonical window that
-    # is not final; each child is made canonical inline and looked up
-    # before recursing, so a memo hit costs no call
-    def largest(m: int, ranks: tuple) -> int:
+    # largest/smallest(state) run one step from a state (m, *window) whose
+    # canonical window is not final; each child state (left, *window) is
+    # built, made canonical inline and looked up before recursing, so a
+    # memo hit costs no call.  The window is state[1:], so bisects run with
+    # lo=1, and the state itself is the row's one key
+    def largest(state: tuple) -> int:
         acc = 0
+        m = state[0]
         for j, weight in enumerate(_weights(kind, m), 1):
-            i = bisect_right(ranks, j)
-            child = ranks[1:i] + (j,) + ranks[i:] if i else ranks
+            i = bisect_right(state, j, 1)
             left = m - j
-            if child[0] >= left:  # sizes <= left displace nothing: the window is final
-                acc += (weight * totals[left]) << (child[0] * width)
+            child = (left,) + state[2:i] + (j,) + state[i:] if i > 1 else (left,) + state[1:]
+            if child[1] >= left:  # sizes <= left displace nothing: the window is final
+                acc += (weight * totals[left]) << (child[1] * width)
                 continue
-            k = bisect_left(child, left)
-            if k < r:
-                child = child[:k] + (left,) * (r - k)
-            row = rows.get((left, child))
-            acc += weight * (largest(left, child) if row is None else row)
-        rows[m, ranks] = acc
+            k = bisect_left(child, left, 1)
+            if k <= r:
+                child = child[:k] + (left,) * (r + 1 - k)
+            row = rows.get(child)
+            acc += weight * (largest(child) if row is None else row)
+        rows[state] = acc
         return acc
 
-    def smallest(m: int, ranks: tuple) -> int:
+    def smallest(state: tuple) -> int:
         acc = 0
+        m = state[0]
         for j, weight in enumerate(_weights(kind, m), 1):
-            i = bisect_right(ranks, j)
-            child = ranks[:i] + (j,) + ranks[i:-1] if i < r else ranks
+            i = bisect_right(state, j, 1)
             left = m - j
+            child = (left,) + state[1:i] + (j,) + state[i:-1] if i <= r else (left,) + state[1:]
             high = child[-1]
             if left == 0:  # an INFINITY digest: fewer than r components, size 0
                 acc += weight if high == INFINITY else weight << (high * width)
                 continue
             if left <= high < INFINITY:
                 child = child[:-1] + (INFINITY,)
-            row = rows.get((left, child))
-            acc += weight * (smallest(left, child) if row is None else row)
-        rows[m, ranks] = acc
+            row = rows.get(child)
+            acc += weight * (smallest(child) if row is None else row)
+        rows[state] = acc
         return acc
 
     if side is Side.LARGEST:
@@ -199,12 +207,13 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
         if n <= window[-1] < INFINITY:
             window = window[:-1] + (INFINITY,)
         rec = smallest
-    row = rows.get((n, window))
+    state = (n,) + window
+    row = rows.get(state)
     if row is None:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * n + 200))
         try:
-            row = rec(n, window)
+            row = rec(state)
         finally:
             sys.setrecursionlimit(limit)
     return _unpack(row, width, totals[n])
@@ -291,7 +300,12 @@ def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
 
 
 def memo_stats() -> dict[str, int]:
-    """Rows held per (kind, side) memo at its current slot width, for capacity planning."""
+    """Rows held per (kind, side) memo, for capacity planning.
+
+    Each row is one packed int keyed by one tuple (m, *window), at the
+    memo's one slot width: the smallest multiple of 64 bits that holds
+    bits(t_n) + 2 for the request of size n that last widened it.
+    """
     return {f"{kind.value}/{side.value}": len(rows) for (kind, side), (_, rows) in _MEMO.items()}
 
 

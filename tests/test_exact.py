@@ -537,6 +537,12 @@ def test_memo_stats_reports_sizes(monkeypatch) -> None:
     sizes = memo_stats()
     assert sizes["permutation/largest"] <= 11_163
     assert sizes["permutation/smallest"] <= 10_023
+    # 192-bit slots hold these rows; 256-bit slots held 16,241,607 and
+    # 28,287,836 bits
+    bits = {side: sum(row.bit_length() for row in exact._MEMO[P, side][1].values())
+            for side in (L, S)}
+    assert bits[L] <= 12_284_999
+    assert bits[S] <= 21_279_132
 
 
 def test_unpack_rejects_a_carried_row() -> None:
@@ -557,8 +563,12 @@ def test_window_rows_do_not_depend_on_the_slot_width(monkeypatch, kind, small, l
     monkeypatch.setattr(exact, "_MEMO", {})
     alone = pmf(kind, small, 3, side).probs
     narrow = exact._MEMO[kind, side][0]
+    assert narrow == 64
     pmf(kind, large, 2, side)
-    assert exact._MEMO[kind, side][0] > narrow  # the larger request widened the slots
+    # the larger request widened the slots to the smallest multiple of 64
+    # bits that holds bits(t_n) + 2: 192 for P at n = 45, 128 for M at n = 20
+    assert exact._MEMO[kind, side][0] == -(-(total_count(kind, large).bit_length() + 2) // 64) * 64
+    assert exact._MEMO[kind, side][0] == {P: 192, M: 128}[kind]
     assert pmf(kind, small, 3, side).probs == alone
     exact._MEMO.clear()
     assert sum(memo_stats().values()) == 0
