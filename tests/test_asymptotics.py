@@ -382,8 +382,8 @@ def test_moment_parameter_validation() -> None:
         for bad in (True, 2.0, 0):
             with pytest.raises(ValueError, match="height h"):
                 moment(1, 2, bad)
-    # corrected is a bool: 1 was served and cached as .corrected == 1, later
-    # returned for corrected=True, and '' was served as the uncorrected constant
+    # corrected is a bool: 1 and 0 equal True and False and would share, and
+    # set the .corrected of, their cache entries; '' and None are only falsy
     for bad in (1, 0, "", None):
         with pytest.raises(ValueError, match="corrected"):
             moment_S(Fraction(1, 2), 2, 1, corrected=bad)

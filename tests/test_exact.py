@@ -537,8 +537,8 @@ def test_memo_stats_reports_sizes(monkeypatch) -> None:
     sizes = memo_stats()
     assert sizes["permutation/largest"] <= 11_163
     assert sizes["permutation/smallest"] <= 10_023
-    # 192-bit slots hold these rows; 256-bit slots held 16,241,607 and
-    # 28,287,836 bits
+    # packed bits at 192-bit slots, the smallest multiple of 64 that holds
+    # bits(40!) + 2
     bits = {side: sum(row.bit_length() for row in exact._MEMO[P, side][1].values())
             for side in (L, S)}
     assert bits[L] <= 12_284_999
