@@ -8,6 +8,8 @@ rank 0 and warm from a held rank r-1 table), the exact and float
 permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
 warm), the public ktp tables and PMFs read through the store at ranks up
 to and past n + 1 (sizes asked in ascending and in descending order), the
+Stirling cycle numbers c(n, k) for n <= 200 and k <= 5 (asked in
+ascending and in descending n), the
 summaries (stats.summarize) of the float PMFs at every size up to 200
 (permutations) and 100 (mappings) and of the exact PMFs up to 12, both
 kinds and sides, ranks 1..4, the window recursion's exact PMFs
@@ -155,6 +157,17 @@ def store_lines() -> list[str]:
     return lines
 
 
+def stirling_lines() -> list[str]:
+    asks = [(n, k) for n in range(201) for k in range(6)]
+    got = []
+    for seq in (asks, asks[::-1]):
+        exact._TABLES.clear()
+        got += [ktp.stirling_cycle(n, k) for n, k in seq]
+    exact._TABLES.clear()
+    return [f"{hashlib.sha256(repr(got).encode()).hexdigest()}  "
+            "stirling_cycle n=0..200 k=0..5 ascending and descending"]
+
+
 def _summary_sha(pmfs) -> str:
     # mean, variance, median, mode and the normalised values; str writes a
     # Fraction as "p/q" and a float by its shortest round-trip digits
@@ -212,8 +225,8 @@ def command_lines() -> list[str]:
 
 
 def main() -> int:
-    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, summary_lines,
-                  window_lines, dickman_lines, command_lines):
+    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, stirling_lines,
+                  summary_lines, window_lines, dickman_lines, command_lines):
         for line in group():
             print(line, flush=True)
     return 0
