@@ -64,12 +64,10 @@ All computations are deterministic: summation orders are fixed, and
 results do not depend on call order.
 
 Engines keyed by (kind, side) share module-level memo tables, and every
-grown table of this module and of ktp lives in one store (_stored) with
-one grow rule.  The one exception is ktp's Stirling cycle table
-(_STIRLING): _stirling_rows appends its rows one at a time by their
-recurrence, and never rebuilds them.  Create none of your own state
-here.  The protocol between the table builders and the store is stated
-once, in _stored.
+grown table of this module and of ktp, the Stirling cycle numbers
+included, lives in one store (_stored) with one grow rule.  Create none of
+your own state here.  The protocol between the table builders and the
+store is stated once, in _stored.
 
 Every cumulative table, exact or float, largest or smallest side, is
 indexed by one threshold t = 0..top_threshold(n_max, r, side), the
@@ -430,20 +428,21 @@ def _stored(build, args: tuple, n: int):
 
     The protocol of every table builder, here and in ktp: a builder is a
     pure function of args, which end with the rank r, of n_max and of
-    lower, None or a rank r-1 table of its own builder held at a size
-    >= n_max.  It runs ranks 1..r from the all-zero rank 0, or rank r
-    alone from lower, which it reads in place and never writes, and it
-    never calls the store.  The store alone decides which table serves a
-    request and when to pass the table below.
+    lower, None or a rank r-1 table of its own builder held at a size >=
+    n_max.  It runs ranks 1..r from its rank 0 (all zero, but for the
+    Stirling cycle numbers c(m, 0), whose rank is the cycle count), or
+    rank r alone from lower, which it reads in place and never writes, and
+    it never calls the store.  The store alone decides which table serves
+    a request and when to pass the table below.
 
     n is the largest size a request reads.  The rank rule, applied here
     alone: an object of size m <= n has at most n components, so its r-th
-    largest and r-th smallest sizes are 0 for every r > n, and rows 0..n
-    of a table are the same at every rank past n + 1.  So the store
-    serves rank r from the table of rank min(r, max(n, 1) + 1) and keeps
-    none past it.  The floor is rank 2 at n = 0, where rank 1 alone
-    differs: ktp's shortest-side counts hold v_1(k, 0) = 1, the base case
-    of their recursion, where every higher rank holds 0.
+    largest and r-th smallest sizes are 0 for every r > n, as is c(m, r),
+    and rows 0..n of a table are the same at every rank past n + 1.  So
+    the store serves rank r from the table of rank min(r, max(n, 1) + 1)
+    and keeps none past it.  The floor is rank 2 at n = 0, where rank 1
+    alone differs: ktp's shortest-side counts hold v_1(k, 0) = 1, the base
+    case of their recursion, where every higher rank holds 0.
 
     Every table's thresholds are derived from its rank and n_max
     (top_threshold), so one held size fixes the whole table.  A stored

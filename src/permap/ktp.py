@@ -20,13 +20,30 @@ cycle shorter than k), where the rule gives 0, as v_r(k, 0) is for
 r >= 2.  No PMF reads n = 0.
 
 u_r obeys a proven recursion.  v_r (r >= 2) obeys a recursion with an
-additive correction term, conjectural beyond the ranges on which it has
-been verified; every table derived from it is flagged as such.  The
-correction has two closed forms (see delta), and each route takes its
-own: the exact tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r) with c
-the Stirling cycle number, and the float tables use (n-1)!
-e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q from harmonic sums by Newton's
-identities, so that the two routes check each other.
+additive correction term, delta (see _v_rows): proven; flag kept pending
+the north-star update, so every table derived from it is still flagged
+conjectural.  The proof: let A_r(k, n) count the n-permutations with
+fewer than r cycles of size < k, and B_r(n) those with fewer than r
+cycles in all, so that v_r(k, n) = A_r(k, n) - B_r(n) for n >= 1.  Split
+by the cycle through element n, of size m + 1, in F(n, m) =
+(n-1)!/(n-1-m)! ways.  A_r obeys the defining sum of v_r without the
+correction, and B_r(n) = sum_m F(n, m) B_{r-1}(n-1-m), with A_0 = B_0 = 0
+and A_r(k, 0) = B_r(0) = 1.  Subtracting, A_r - B_r obeys that sum with
+the correction sum_{m >= k-1} F(n, m) [B_r - B_{r-1}](n-1-m) =
+sum_{j=0}^{n-k} (n-1)!/j! c(j, r-1), since B_r - B_{r-1} counts the
+permutations with exactly r - 1 cycles; c is the Stirling cycle number.
+That is (n-1)!/(n-k)! c(n-k+1, r) = delta_r(k, n), by the identity
+c(N+1, r) = sum_{j=0}^{N} N!/j! c(j, r-1) (Graham, Knuth and Patashnik,
+Concrete Mathematics, ch. 6), the same split of an (N+1)-permutation by
+the cycle through N + 1.  Mind n = 0, where A_r - B_r is 0 but v_1(k, 0)
+= 1: at r = 1 that cell stands in for the correction, whose one term
+j = 0 is (n-1)!, so delta_1 = 0; from r = 2 on the sums read rank r-1
+only at sizes >= 1, and rank r at size 0, where v_r(k, 0) = 0 (_v_rows).
+The correction has two closed forms (see delta), and each route takes
+its own: the exact tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r),
+and the float tables use (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q from
+harmonic sums by Newton's identities, so that the two routes check each
+other.
 
 Every route here verifies exact.pmf_float, the one production engine.
 The exact tables are built by the three-term recurrences that their
@@ -48,9 +65,10 @@ table, which it reads in place, it holds only the table it returns;
 built from rank 0, also the rank below.
 
 Every builder here keeps the builder and store protocol stated in
-exact._stored.  Every table, exact or float, lives in exact's one store
-and grows by its one rule, and row n of each is read by exact's one
-differencing rule, as Fractions over n! or as a guarded float PMF.
+exact._stored.  Every table, exact or float, the Stirling cycle numbers
+included, lives in exact's one store and grows by its one rule, and row n
+of each is read by exact's one differencing rule, as Fractions over n! or
+as a guarded float PMF.
 """
 
 from __future__ import annotations
@@ -66,7 +84,11 @@ from .kinds import ObjectKind, Side, whole
 from .exact import top_threshold
 from .stats import ComponentPMF
 
-_MAX_RANK = 4  # correction closed forms are only established through rank 4
+# the shortest-side ranks served: _elementary writes out e_1..e_3 for
+# ktp-float (a general Newton recurrence reproduces e_2, but moves e_3 in
+# 1,075 of 2,501 cells at n = 2500, which would change the rank-4 columns),
+# and both ktp engines keep the one rank reach
+_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -82,22 +104,28 @@ class CycleCountTable:
 # ---------------------------------------------------------------------------
 # Stirling cycle numbers, the correction term
 
-_STIRLING: list[tuple[int, ...]] = [(1, 0, 0, 0, 0, 0)]  # row n holds c(n, 0..5)
+def _stirling(k: int, n_max: int, lower: list | None = None) -> list[int]:
+    """Column k of the Stirling cycle numbers, c(m, k) for m = 0..n_max.
 
-
-def _stirling_rows(n: int) -> list[tuple[int, ...]]:
-    """The table of c(m, 0..5), grown to hold the rows m = 0..n."""
-    rows = _STIRLING
-    while len(rows) <= n:  # c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
-        m, prev = len(rows), rows[-1]
-        rows.append(tuple((prev[j - 1] if j else 0) + (m - 1) * prev[j] for j in range(6)))
-    return rows
+    c(m, k) = c(m-1, k-1) + (m-1) c(m-1, k), from column 0, c(m, 0) = 1 at
+    m = 0 and 0 after, or from lower, column k - 1 held at a size >= n_max.
+    """
+    column = [1] + [0] * n_max if lower is None else lower
+    for _ in range(0 if lower is None else k - 1, k):
+        prev, column = column, [0] * (n_max + 1)
+        for m in range(1, n_max + 1):
+            column[m] = prev[m - 1] + (m - 1) * column[m - 1]
+    return column
 
 
 def stirling_cycle(n: int, k: int) -> int:
-    """Number of n-permutations with exactly k cycles (k <= 5 supported)."""
-    n, k = whole(n, 0, "stirling_cycle: size n"), whole(k, 0, "stirling_cycle: cycles k", 5)
-    return _stirling_rows(n)[n][k]
+    """Number c(n, k) of n-permutations with exactly k cycles, for every k >= 0.
+
+    Column k lives in exact's store, whose rank rule serves c(n, k) = 0
+    for k > n from column n + 1 (column 2 at n = 0).
+    """
+    n, k = whole(n, 0, "stirling_cycle: size n"), whole(k, 0, "stirling_cycle: cycles k")
+    return exact._stored(_stirling, (k,), n)[n]
 
 
 def _elementary(p1, p2, p3):
@@ -119,7 +147,10 @@ def delta(r: int, k: int, n: int) -> int:
     gives e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m.  Since c(m+1, r) =
     m! e_{r-1}(1, ..., 1/m), this is (n-1)!/(n-k)! c(n-k+1, r), which is
     how it is computed, in integers; at k = 1 it is the Stirling cycle
-    number c(n, r).
+    number c(n, r).  It is the correction that the proof in the module
+    docstring derives: sum_{j=0}^{n-k} (n-1)!/j! c(j, r-1), one term per
+    size n - j >= k of the cycle through element n, is (n-1)!/(n-k)! times
+    c(N+1, r) = sum_{j=0}^{N} N!/j! c(j, r-1) at N = n - k.
     """
     r = whole(r, 2, "delta: rank r", _MAX_RANK)
     k, n = whole(k, 1, "delta: threshold k"), whole(n, 1, "delta: size n")
@@ -161,20 +192,30 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
 def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     """v_r by columns t = 0..max(n_max-r+1, 0): column t holds v_r(t+1, n).
 
-    v_0 = delta_1 = 0 and F is as in _u_rows.  The defining sum v_r(k, n) =
-    delta_r(k, n) + sum_{m<k-1} F(n, m) v_{r-1}(k, n-1-m) + sum_{k-1<=m<n}
-    F(n, m) v_r(k, n-1-m) gives the cells n >= k + r - 1 (others hold 0, or
-    1 at r = 1, n = 0).  Less delta_r it is s, which telescopes as in
+    v_0 = delta_1 = 0 and F is as in _u_rows.  The defining sum v_r(k, n)
+    = delta_r(k, n) + sum_{m<k-1} F(n, m) v_{r-1}(k, n-1-m) +
+    sum_{k-1<=m<n} F(n, m) v_r(k, n-1-m) gives the cells n >= k + r - 1
+    (others hold 0, or 1 at r = 1, n = 0).  It is proven (module
+    docstring): for n >= 1, v_r = A_r - B_r, and at these cells, n - 1 - m
+    >= n - k + 1 >= r in the first sum, so rank r-1 is read only at sizes
+    >= 1, where it is A_{r-1} - B_{r-1}; the second sum reads rank r at
+    size 0, where v_r(k, 0) = 0 = A_r - B_r for r >= 2.  At r = 1 the cell
+    v_1(k, 0) = 1 reads as the correction's one term, (n-1)! at m = n - 1,
+    and delta_1 = 0.  Less delta_r it is s, which telescopes as in
     _u_rows; s starts at n = k + r - 1 from 0 because at n = k + r - 2
     every term of the sum vanishes: delta_r(k, n) = F(n, k-1) c(n-k+1, r)
     (see delta), and c(r-1, r) = 0 there; each table read is a zero cell.
-    Column t, k = t + 1, adds F(n, t) c(n-t, r), in integers, with the
-    F(n, t) it already holds.  Each column runs ranks q = 1..r in turn, or
-    rank r alone from column t of lower, a rank r-1 table held at a size
-    >= n_max.  The column k = 0, v_r(0, n) = n!, is not held.
+    Column t, k = t + 1, adds F(n, t) c(n-t, q) at rank q, in integers,
+    with the F(n, t) it already holds; the Stirling columns 0..r are built
+    here by _stirling, since a builder never calls the store.  Each column
+    runs ranks q = 1..r in turn, or rank r alone from column t of lower, a
+    rank r-1 table held at a size >= n_max.  The column k = 0,
+    v_r(0, n) = n!, is not held.
     """
     fact = [math.factorial(i) for i in range(n_max + 1)]
-    cycles = _stirling_rows(n_max)
+    cycles = [_stirling(0, n_max)]
+    for q in range(1, r + 1):
+        cycles.append(_stirling(q, n_max, cycles[-1]))
     rows = []
     for t in range(top_threshold(n_max, r, Side.SMALLEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - t] if n > t else 0 for n in range(n_max + 1)]
@@ -184,7 +225,7 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
             s = 0
             for n in range(t + q, n_max + 1):
                 s = (n - 1) * s + low[n - 1] + falling[n] * (row[n - 1 - t] - low[n - 1 - t])
-                row[n] = s + falling[n] * cycles[n - t][q] if q > 1 else s
+                row[n] = s + falling[n] * cycles[q][n - t] if q > 1 else s
         rows.append(row)
     return rows
 

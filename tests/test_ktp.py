@@ -264,9 +264,9 @@ def test_float_correction_rows_match_delta() -> None:
 
 def test_stirling_and_delta_do_not_recurse_deeply(monkeypatch) -> None:
     # one Python frame per size would pass the default recursion limit of 1000 here
-    monkeypatch.setattr(ktp, "_STIRLING", [(1, 0, 0, 0, 0, 0)])
+    monkeypatch.setattr(exact, "_TABLES", {})
     assert stirling_cycle(1500, 2) == math.factorial(1499) * harmonic(1499)
-    monkeypatch.setattr(ktp, "_STIRLING", [(1, 0, 0, 0, 0, 0)])
+    monkeypatch.setattr(exact, "_TABLES", {})
     assert delta(3, 600, 700) == math.factorial(699) * harmonic_e(2, 100)
 
 
@@ -284,12 +284,49 @@ def test_stirling_recurrence() -> None:
     for n in range(1, 201):
         assert stirling_cycle(n, 0) == 0
         assert stirling_cycle(n, 1) == math.factorial(n - 1)
-        for k in range(1, 6):
+        for k in range(1, 9):
             assert stirling_cycle(n, k) == stirling_cycle(n - 1, k - 1) + (n - 1) * stirling_cycle(n - 1, k)
-    for n in range(6):
+    for n in range(9):
         assert stirling_cycle(n, n) == 1
-        for k in range(n + 1, 6):
+        for k in range(n + 1, 9):
             assert stirling_cycle(n, k) == 0, (n, k)
+    assert stirling_cycle(4, 6) == 0  # every k >= 0 is served
+
+
+def _local_stirling(n_max: int, k_max: int) -> list[list[int]]:
+    """c[n][k] for n <= n_max, k <= k_max, by the recurrence, apart from the package's."""
+    c = [[1] + [0] * k_max]
+    for n in range(1, n_max + 1):
+        c.append([0] + [c[-1][k - 1] + (n - 1) * c[-1][k] for k in range(1, k_max + 1)])
+    return c
+
+
+def test_correction_is_the_stirling_sum_of_the_proof() -> None:
+    # the proof in ktp's docstring: the correction sum_{j=0}^{n-k} (n-1)!/j!
+    # c(j, r-1), over the cycles through element n of size n - j >= k,
+    # equals (n-1)!/(n-k)! c(n-k+1, r) at every rank, and delta through rank 4
+    c = _local_stirling(151, 8)
+    for r in range(2, 9):
+        for n in range(1, 151):
+            fall = math.factorial(n - 1)
+            total = 0
+            for k in range(n, 0, -1):  # term j = n - k joins the sum
+                total += fall // math.factorial(n - k) * c[n - k][r - 1]
+                assert total == fall // math.factorial(n - k) * c[n - k + 1][r], (r, k, n)
+                if r <= 4 and n <= 60:
+                    assert delta(r, k, n) == total, (r, k, n)
+
+
+@pytest.mark.parametrize("r, top", [(5, 24), (6, 20), (7, 20), (8, 20)])
+def test_shortest_counts_past_rank_four_match_the_window_recursion(r, top) -> None:
+    # the proven recursion holds at every rank: the exact tables, read as
+    # PMFs by exact's differencing rule, are the window recursion's
+    rows = ktp._v_rows(r, top)
+    for n in range(1, top + 1):
+        fact = math.factorial(n)
+        cells = [rows[t][n] for t in range(exact.top_threshold(n, r, S) + 1)]
+        got = tuple(Fraction(count, fact) for count in exact._differences(cells, fact, S))
+        assert got == exact.pmf(P, n, r, S).probs, (r, n)
 
 
 @pytest.mark.parametrize("call, name, outside", [
@@ -297,7 +334,7 @@ def test_stirling_recurrence() -> None:
     (lambda v: delta(2, v, 4), "threshold k", (0,)),
     (lambda v: delta(2, 1, v), "size n", (0,)),
     (lambda v: stirling_cycle(v, 2), "size n", (-1,)),
-    (lambda v: stirling_cycle(4, v), "cycles k", (-1, 6)),
+    (lambda v: stirling_cycle(4, v), "cycles k", (-1,)),
 ], ids=["delta-r", "delta-k", "delta-n", "stirling-n", "stirling-k"])
 def test_helpers_refuse_bools_and_non_integers(call, name, outside) -> None:
     # True == 1 would be served as 1, and a float index fails inside the tables
@@ -494,11 +531,11 @@ def test_builds_from_the_rank_below_are_cold_builds_bit_for_bit(name) -> None:
     # the rank r-1 table of a larger, taller and wider build starts the
     # rank r build; every cell must keep the bits of the build from the
     # all-zero rank 0, including past r - 1 >= n_max + 1 (exact counts to
-    # rank 6; the shortest side's correction closed forms end at rank 4),
-    # and the held table must not change
+    # rank 6; the float correction's written-out e_q end at rank 4), and
+    # the held table must not change
     build = getattr(ktp, name)
     for n_max in (1, 2, 3, 5, 37, 200):
-        for r in range(2, 7 if name == "_u_rows" else 5):
+        for r in range(2, 5 if name == "_v_norm" else 7):
             lower = build(r - 1, n_max * 5 // 4 + 2)
             held = [list(column) for column in lower] if name != "_v_norm" else lower.copy()
             cold, warm = build(r, n_max), build(r, n_max, lower)
