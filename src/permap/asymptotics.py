@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from scipy.special import exp1
 
 from .exact import PrecisionError
-from .kinds import Side, whole
+from .kinds import Side, real, whole
 
 _EULER_GAMMA = float(np.euler_gamma)
 _X_MAX = 40  # xi_4 needs rho_4 at 1/xi_4 ~ 36.9
@@ -52,7 +52,7 @@ _RHO_TOL = 1e-10  # the Dickman tables' documented absolute accuracy
 
 def exp_integral(x: float) -> float:
     """E(x) = integral of e^(-t)/t from x to infinity, for x > 0 (scipy's exp1)."""
-    x = float(x)
+    x = real(x, "exp_integral: x")
     if x <= 0.0 or math.isnan(x):
         raise ValueError("exp_integral requires x > 0")
     return float(exp1(x))
@@ -123,8 +123,8 @@ def _table(r: int) -> DickmanTable:
 
 def dickman(r: int, x: float) -> float:
     """rho_r(x) for 1 <= r <= 4 and 0 <= x <= 40, absolute error <= 1e-10."""
-    r = whole(r, 1, "dickman: order r", 4)
-    return _table(r).value(float(x))
+    r, x = whole(r, 1, "dickman: order r", 4), real(x, "dickman: x")
+    return _table(r).value(x)
 
 
 def _rho_tail(r: int, x: float) -> float:
@@ -141,6 +141,7 @@ def largest_cdf(r: int, x: float) -> float:
 
     1/x must lie in the Dickman tables' range [0, 40].
     """
+    x = real(x, "largest_cdf: x")
     if not (0.0 < x <= 1.0 and 1.0 / x <= _X_MAX):  # NaN included
         raise ValueError(f"largest_cdf requires 1/{_X_MAX} <= x <= 1, got x={x!r}")
     return dickman(r, 1.0 / x)
@@ -151,6 +152,7 @@ def largest_cdf(r: int, x: float) -> float:
 
 def density_f(x: float) -> float:
     """Density of (longest cycle)/n on (0, 1): rho_1(1/x - 1)/x."""
+    x = real(x, "density_f: x")
     if not 0.0 < x < 1.0:
         raise ValueError("density_f is defined on the open interval (0, 1)")
     return _rho_tail(1, 1.0 / x - 1.0) / x
@@ -162,6 +164,7 @@ def density_g(x: float) -> float:
     It reads rho_2 at 1/x - 1, and the rho_2 table ends at 40; past it
     rho_2 is far from 0 (rho_2(40) = 0.0457).
     """
+    x = real(x, "density_g: x")
     if not (0.0 < x < 0.5 and 1.0 / x - 1.0 < _X_MAX):  # NaN included
         raise ValueError(f"density_g is defined on (1/{_X_MAX + 1}, 1/2), got x={x!r}")
     y = 1.0 / x - 1.0
@@ -247,8 +250,14 @@ def moment_S(a, r: int, h: int, corrected: bool = False) -> MomentConstant:
     """Limit constant of the normalised h-th moment, r-th smallest component.
 
     h = a has the closed form e^{-h gamma} a^{r-1} / r!; h > a integrates
-    x^{h-1} exp[a E(x) - x].  corrected=True applies the sqrt(2) factor that
-    the mapping (a = 1/2) statistics empirically need.
+    x^{h-1} exp[a E(x) - x].  corrected=True applies the sqrt(2) factor of
+    the mapping (a = 1/2) statistics, derived: the numbers of components
+    of sizes j <= m tend to independent Poisson variables of means q_j/j
+    (q from kinds.exp_log_weights), and the tail P{r-th smallest > m}
+    carries the factor e^{-sum_{j<=m} q_j/j}.  The integral takes that sum
+    as a(ln m + gamma) + o(1), as for permutations.  The mapping EGF
+    1/(1 - T(z)) behaves like (2(1 - ez))^{-1/2}, so for mappings the sum
+    less (ln m + gamma)/2 tends to -(ln 2)/2, and e^{(ln 2)/2} = sqrt(2).
     """
     a, r, h = _check_params(a, r, h, "moment_S")
     if not isinstance(corrected, bool):  # 1 == True would share, and set, its cache entry

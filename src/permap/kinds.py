@@ -24,12 +24,14 @@ tau_m = m^m e^-m/m!.
 
 Every route imports this module, so it is also the one home of the
 argument rule that every public entry point applies: whole for integer
-arguments and member for a kind or a side, each checked alone.
+arguments, real for real ones and member for a kind or a side, each
+checked alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from enum import Enum
 from functools import lru_cache
@@ -67,6 +69,19 @@ def whole(value, low: int, what: str, high: int | None = None) -> int:
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{what} must be an int {span}, got {value!r}")
     return got
+
+
+def real(value, what: str) -> float:
+    """value as a float: a numbers.Real that is not a bool, Fractions and numpy floats included.
+
+    float() would parse a string and serve a bool as 1.0, and None or a
+    complex would fail with a TypeError that names nothing; each is refused
+    with a ValueError whose message names what.  NaN passes, to be refused
+    by the caller's own range check.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def member(value, enum: type[Enum], what: str):

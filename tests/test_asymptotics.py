@@ -34,6 +34,7 @@ from permap.asymptotics import (
     moment_S,
 )
 from permap.exact import PrecisionError
+from permap.kinds import ObjectKind, connected_count, exp_log_weights
 
 from reference_tables import (
     LARGEST_MOMENTS,
@@ -181,6 +182,30 @@ def test_dickman_rejects_out_of_domain() -> None:
                      lambda: median_xi(bad)):
             with pytest.raises(ValueError, match="order r"):
                 call()
+
+
+_REAL_X = [
+    (exp_integral, 0.3),
+    (lambda x: dickman(2, x), 2.5),
+    (lambda x: largest_cdf(2, x), 0.3),
+    (density_f, 0.3),
+    (density_g, 0.3),
+]
+
+
+@pytest.mark.parametrize("call, x", _REAL_X,
+                         ids=["exp_integral", "dickman", "largest_cdf", "density_f", "density_g"])
+def test_real_arguments_follow_one_rule(call, x) -> None:
+    # a string was parsed, a bool served as 1.0, and None or a complex raised
+    # a TypeError that named nothing; each is refused before a Dickman table is read
+    tables = asymptotics._table.cache_info()
+    for bad in (str(x), True, False, None, complex(x, 0)):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            call(bad)
+    assert asymptotics._table.cache_info() == tables
+    for good in (Fraction(x), np.float64(x), np.float32(x)):
+        assert call(good) == call(float(good))
+    assert call(Fraction(x)) == call(x)
 
 
 def _chebyshev_object_pieces(r: int, lower: tuple | None) -> tuple:
@@ -353,6 +378,22 @@ def test_smallest_corrected_constants() -> None:
             assert fixed.value == pytest.approx(
                 SMALLEST_CORRECTED[f"sqrt2*SG_1/2({r},{h})"], abs=1e-11
             )
+
+
+def test_sqrt2_is_the_limit_of_the_mapping_poisson_means() -> None:
+    # sum_{j<=m} q_j/j - (ln m + gamma)/2 -> -(ln 2)/2 from above; the tail
+    # sum_{j>m} (q_j - 1/2)/j predicts sqrt(m) gap -> 2/(3 sqrt(2 pi)) = 0.266
+    q, _ = exp_log_weights(ObjectKind.MAPPING, 10**6)
+    means = q[1:] / np.arange(1, 10**6 + 1)
+    sums = np.cumsum(means)
+    for m in (10**3, 10**4, 10**5, 10**6):
+        gap = sums[m - 1] - (math.log(m) + np.euler_gamma) / 2 + math.log(2) / 2
+        assert 0 < gap <= 0.3 / math.sqrt(m), (m, gap)
+    # the means are c_j e^-j/j!, from the exact counts, not from q's own formula
+    for j in range(1, 21):
+        want = float(Fraction(connected_count(ObjectKind.MAPPING, j), math.factorial(j)))
+        want *= math.exp(-j)
+        assert abs(means[j - 1] - want) <= 1e-14 * want, j
 
 
 def test_moment_parameter_validation() -> None:
