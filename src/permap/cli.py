@@ -52,26 +52,19 @@ from .stats import summarize
 
 _KINDS = {"permute": ObjectKind.PERMUTATION, "permutation": ObjectKind.PERMUTATION,
           "map": ObjectKind.MAPPING, "mapping": ObjectKind.MAPPING}
-_ENGINES = ("exact", "exact-float", "ktp", "ktp-float", "oracle")
+# engine name -> route(kind, n, r, side); each looks its function up when
+# called, so that a function patched on its module is the one called
+_ENGINES = {
+    "exact": lambda kind, n, r, side: exact.pmf(kind, n, r, side),
+    "exact-float": lambda kind, n, r, side: exact.pmf_float(kind, n, r, side),
+    "ktp": lambda kind, n, r, side: ktp.pmf_from_tables(r, n, side),
+    "ktp-float": lambda kind, n, r, side: ktp.pmf_from_tables_float(r, n, side),
+    "oracle": lambda kind, n, r, side: oracle.enumerate_pmf(kind, n, r, side),
+}
 
 
 class ConfigError(Exception):
     pass
-
-
-def _compute_pmf(engine: str, kind: ObjectKind, n: int, r: int, side: Side):
-    if engine in ("ktp", "ktp-float") and kind is not ObjectKind.PERMUTATION:
-        raise ConfigError("the cumulative cycle-count engine covers permutations only; "
-                          "use --engine exact or exact-float for mappings")
-    if engine == "exact":
-        return exact.pmf(kind, n, r, side)
-    if engine == "exact-float":
-        return exact.pmf_float(kind, n, r, side)
-    if engine == "ktp":
-        return ktp.pmf_from_tables(r, n, side)
-    if engine == "ktp-float":
-        return ktp.pmf_from_tables_float(r, n, side)
-    return oracle.enumerate_pmf(kind, n, r, side)
 
 
 def _columns(kind: ObjectKind, r: int, side: str) -> list[str]:
@@ -98,6 +91,9 @@ def _table_rows(args) -> tuple[list[str], list[dict], bool]:
     once per sweep and serves the smaller sizes from them.
     """
     kind = _KINDS[args.kind]
+    if args.engine in ("ktp", "ktp-float") and kind is not ObjectKind.PERMUTATION:
+        raise ConfigError("the cumulative cycle-count engine covers permutations only; "
+                          "use --engine exact or exact-float for mappings")
     cols = _columns(kind, args.rank, args.side)
     if args.engine == "exact" and max(args.n) > 80:
         print("note: the exact big-integer engine grows quickly with n; "
@@ -111,7 +107,7 @@ def _table_rows(args) -> tuple[list[str], list[dict], bool]:
         for side in (Side.LARGEST, Side.SMALLEST):
             prefix = "L" if side is Side.LARGEST else "S"
             if any(c.startswith(prefix) for c in cols):
-                pmf = _compute_pmf(args.engine, kind, n, args.rank, side)
+                pmf = _ENGINES[args.engine](kind, n, args.rank, side)
                 conjectural |= pmf.conjectural
                 stats[prefix] = summarize(pmf)
         for col in cols:
@@ -239,19 +235,12 @@ def _suite_oracle() -> list[tuple[str, bool, str]]:
     checks = []
     for kind in ObjectKind:
         for n in range(1, 8):
-            ok = True
-            detail = "all ranks, both sides"
-            for r in (1, 2, 3, 4):
-                for side in Side:
-                    want = oracle.enumerate_pmf(kind, n, r, side).probs
-                    got = exact.pmf(kind, n, r, side).probs
-                    if got != want:
-                        ok = False
-                        detail = f"mismatch at r={r} {side.name}: {got} != {want}"
-                        break
-                if not ok:
-                    break
-            checks.append((f"exact == enumeration, {kind.name} n={n}", ok, detail))
+            pairs = ((r, side, oracle.enumerate_pmf(kind, n, r, side).probs,
+                      exact.pmf(kind, n, r, side).probs) for r in (1, 2, 3, 4) for side in Side)
+            mismatch = next((f"mismatch at r={r} {side.name}: {got} != {want}"
+                             for r, side, want, got in pairs if got != want), None)
+            checks.append((f"exact == enumeration, {kind.name} n={n}", mismatch is None,
+                           mismatch or "all ranks, both sides"))
     return checks
 
 
