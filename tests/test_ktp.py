@@ -293,6 +293,20 @@ def test_stirling_recurrence() -> None:
     assert stirling_cycle(4, 6) == 0  # every k >= 0 is served
 
 
+def test_stirling_columns_live_in_the_store(monkeypatch) -> None:
+    # column k is kept by exact's store under its one grow rule, and every
+    # k past n + 1 reads column n + 1; a column built from the held column
+    # k - 1 is the cold one, and the held column is read, never written
+    monkeypatch.setattr(exact, "_TABLES", {})
+    assert stirling_cycle(10, 3) == 1172700
+    assert stirling_cycle(3, 10**6) == 0
+    assert set(exact._TABLES) == {(ktp._stirling, 3), (ktp._stirling, 4)}
+    for k in range(1, 9):
+        lower = ktp._stirling(k - 1, 30)
+        assert ktp._stirling(k, 25, lower) == ktp._stirling(k, 25)
+        assert lower == ktp._stirling(k - 1, 30)
+
+
 def _local_stirling(n_max: int, k_max: int) -> list[list[int]]:
     """c[n][k] for n <= n_max, k <= k_max, by the recurrence, apart from the package's."""
     c = [[1] + [0] * k_max]
