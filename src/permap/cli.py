@@ -22,9 +22,10 @@ recursion (ktp engines, rank >= 2) says so: json carries a top-level
 
 Exit codes: 0 success; 1 verification failure; 2 configuration error:
 an argument the parser rejects (such as a negative --digits), a request
-the library rejects (a ValueError, such as a rank the engine does not
-cover), an --output path that cannot be written (checked up front), or
-a request too large for the memory at hand (MemoryError); 3 a precision
+the chosen engine does not serve (a mapping asked of a ktp engine, or a
+ValueError from the library, such as an --n past the oracle's enumeration
+budget), an --output path that cannot be written (checked up front), or a
+request too large for the memory at hand (MemoryError); 3 a precision
 guard failed (PrecisionError: a float engine's mass-sum or probability-range
 check, or a quadrature error above its tolerance).
 

@@ -267,17 +267,15 @@ def support_length(n: int, r: int, side: Side) -> int:
                          member(side, Side, "support_length: side")) + 1
 
 
-def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side,
-                r_max: int | None = None) -> None:
+def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side) -> None:
     """Refuse a bad request before it reaches a builder or the store.
 
-    kind and side must be members of their enums, the size n an int >= 1
-    and the rank r an int in 1..r_max (no bound if r_max is None), by the
-    one rule of kinds.whole and kinds.member.
+    kind and side must be members of their enums, and the size n and the
+    rank r ints >= 1, by the one rule of kinds.whole and kinds.member.
     """
     member(kind, ObjectKind, f"{what}: kind")
     member(side, Side, f"{what}: side")
-    whole(r, 1, f"{what}: rank r", r_max)
+    whole(r, 1, f"{what}: rank r")
     whole(n, 1, f"{what}: size n")
 
 

@@ -84,12 +84,6 @@ from .kinds import ObjectKind, Side, whole
 from .exact import top_threshold
 from .stats import ComponentPMF
 
-# the shortest-side ranks served: _elementary writes out e_1..e_3 for
-# ktp-float (a general Newton recurrence reproduces e_2, but moves e_3 in
-# 1,075 of 2,501 cells at n = 2500, which would change the rank-4 columns),
-# and both ktp engines keep the one rank reach
-_MAX_RANK = 4
-
 
 @dataclass(frozen=True)
 class CycleCountTable:
@@ -128,13 +122,24 @@ def stirling_cycle(n: int, k: int) -> int:
     return exact._stored(_stirling, (k,), n)[n]
 
 
-def _elementary(p1, p2, p3):
-    """e_1, e_2, e_3 from the power sums p_1, p_2, p_3 by Newton's identities.
+def _elementary(n_max: int, q_max: int) -> np.ndarray:
+    """e[q, m] = e_q(1, 1/2, ..., 1/m) for q = 0..q_max and m = 0..n_max, in float.
 
-    _v_norm applies it to float arrays of harmonic sums, so that the float
-    route reaches the correction term by another closed form than delta.
+    Newton's identities, q e_q = sum_{i=1}^{q} (-1)^(i-1) e_{q-i} p_i, over
+    the harmonic power sums p_i[m] = sum_{j<=m} 1/j^i, held with their
+    signs, so that the float route reaches the correction term by another
+    closed form than delta.  Where j^i overflows, 1/j^i is 0.0 to double
+    precision.  e_q of fewer than q values is 0, and is left so: only the
+    columns m >= q are summed.
     """
-    return p1, (p1**2 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
+    p, e = np.zeros((2, q_max + 1, n_max + 1))
+    i = np.arange(1, q_max + 1)[:, None]
+    with np.errstate(over="ignore"):
+        p[1:, 1:] = (-1.0) ** (i - 1) * np.cumsum(1.0 / np.arange(1.0, n_max + 1) ** i, axis=1)
+    e[0] = 1.0
+    for q in range(1, q_max + 1):
+        e[q, q:] = np.sum(e[q - 1 :: -1, q:] * p[1 : q + 1, q:], axis=0) / q
+    return e
 
 
 def delta(r: int, k: int, n: int) -> int:
@@ -152,7 +157,7 @@ def delta(r: int, k: int, n: int) -> int:
     size n - j >= k of the cycle through element n, is (n-1)!/(n-k)! times
     c(N+1, r) = sum_{j=0}^{N} N!/j! c(j, r-1) at N = n - k.
     """
-    r = whole(r, 2, "delta: rank r", _MAX_RANK)
+    r = whole(r, 2, "delta: rank r")
     k, n = whole(k, 1, "delta: threshold k"), whole(n, 1, "delta: size n")
     if k > n:
         return 0
@@ -256,15 +261,15 @@ def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """Counts of n-permutations whose r-th shortest cycle is >= k.
 
-    Exact for r = 1; produced by the corrected recursion (conjectural) for
-    ranks 2..4.  Row k = 0 counts all n! permutations and is not stored;
-    row k >= 1 is the stored column t = k - 1.  At n = 0, rank 1 counts
-    the empty permutation in every row (it has no cycle shorter than k),
-    where ranks 2..4 count 0 from k = 1 on: the base case of the
-    recursion, not the fewer-than-r rule of the module docstring.  No PMF
-    reads n = 0.
+    Exact for r = 1; produced by the corrected recursion (flagged
+    conjectural) for every rank r >= 2.  Row k = 0 counts all n!
+    permutations and is not stored; row k >= 1 is the stored column t =
+    k - 1.  At n = 0, rank 1 counts the empty permutation in every row (it
+    has no cycle shorter than k), where every higher rank counts 0 from
+    k = 1 on: the base case of the recursion, not the fewer-than-r rule of
+    the module docstring.  No PMF reads n = 0.
     """
-    whole(r, 1, "shortest_table: rank r", _MAX_RANK)
+    whole(r, 1, "shortest_table: rank r")
     # the last column, t = max(held n - r + 1, 0), is 0 at every n >= 1: no
     # n-permutation has an r-th shortest cycle longer than n - r + 1 <= t, and
     # the fewer-than-r digest 0 is not either; the n = 0 cell is the same in
@@ -276,8 +281,7 @@ def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 
 def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     """Exact PMF of the r-th ranked cycle size, by differencing a table column."""
-    exact._check_rank(r, "pmf_from_tables", n, ObjectKind.PERMUTATION, side,
-                      _MAX_RANK if side is Side.SMALLEST else None)
+    exact._check_rank(r, "pmf_from_tables", n, ObjectKind.PERMUTATION, side)
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
     fact = math.factorial(n)
     cells = [rows[t][n] for t in range(top_threshold(n, r, side) + 1)]
@@ -289,12 +293,6 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
 
 # ---------------------------------------------------------------------------
 # normalised float tables
-
-def _harmonic_float(n_max: int, power: int) -> np.ndarray:
-    out = np.zeros(n_max + 1)
-    out[1:] = np.cumsum(1.0 / np.arange(1, n_max + 1, dtype=np.float64) ** power)
-    return out
-
 
 def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     """The conjectural shortest-side recursion on counts normalised by n!.
@@ -310,9 +308,10 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     as one strided view (exact._add_anti_diagonal), so column t sums
     sizes 0, 1, 2, ... in order from 0.0 at every table width.  The
     correction D_q[k, n] = delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ...,
-    1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_3 are built once
-    from the harmonic sums and row n of D_q is a reversed view of a slice
-    of one of them; no D table is held.  Ranks run from q = 1 over
+    1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_{r-1} are built
+    once from the harmonic sums (_elementary) and row n of D_q is a
+    reversed view of a slice of one of them; no D table is held.  Ranks
+    run from q = 1 over
     the all-zero rank 0, or rank r alone from lower, a rank r-1 table held
     at a size >= n_max, read in place through its own width and never
     written, whose rows and columns up to this table's are the bits the
@@ -326,7 +325,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     that the proven chain validates.
     """
     width = top_threshold(n_max, r, Side.SMALLEST) + 1
-    e = _elementary(*(_harmonic_float(n_max, power) for power in (1, 2, 3)))
+    e = _elementary(n_max, r - 1)
     d = np.empty(width)  # D_q[t+1, n] for t < end
     z = lower  # the rank below; None before rank 1
     for q in range(1 if lower is None else r, r + 1):
@@ -345,7 +344,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
             if q == 1:
                 np.divide(diag[:end], n, out=cell)
             elif end:  # (below_row - below_diag + diag) / n + D_q[t+1, n]
-                np.divide(e[q - 2][n - end : n][::-1], n, out=d[:end])
+                np.divide(e[q - 1, n - end : n][::-1], n, out=d[:end])
                 np.subtract(below_row[:end], below_diag[:end], out=cell)
                 cell += diag[:end]
                 cell /= n
@@ -354,15 +353,14 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
 
 
 def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
-    """Float PMF of the r-th ranked cycle size: the conjecture check.
+    """Float PMF of the r-th ranked cycle size, any rank r >= 1: the conjecture check.
 
     The largest side is exact.pmf_float, the production engine, itself;
-    the smallest side runs the conjectural recursion, to be compared with
-    exact.pmf_float's proven chain.  Both raise PrecisionError when the
+    the smallest side runs the conjectural recursion, e_q for q < r taken
+    from _elementary, to be compared with exact.pmf_float's proven chain.  Both raise PrecisionError when the
     mass-sum or probability-range check fails.
     """
-    exact._check_rank(r, "pmf_from_tables_float", n, ObjectKind.PERMUTATION, side,
-                      _MAX_RANK if side is Side.SMALLEST else None)
+    exact._check_rank(r, "pmf_from_tables_float", n, ObjectKind.PERMUTATION, side)
     if side is Side.LARGEST:
         return exact.pmf_float(ObjectKind.PERMUTATION, n, r, side)
     table = exact._stored(_v_norm, (r,), n)

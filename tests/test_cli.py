@@ -319,12 +319,6 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         ("table", "--kind", "permute", "--rank", "0", "--n", "5"),
         ("table", "--kind", "permute", "--rank", "2", "--n", "0"),
         ("table", "--kind", "permute", "--rank", "2", "--n", "9", "--engine", "oracle"),
-        ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp",
-         "--side", "smallest"),
-        ("table", "--kind", "permute", "--rank", "5", "--n", "4", "--engine", "ktp",
-         "--side", "smallest"),
-        ("table", "--kind", "permute", "--rank", "5", "--n", "10", "--engine", "ktp-float",
-         "--side", "smallest"),
         ("table", "--kind", "permute", "--n", "5", "--output", unwritable),
         ("constants", "--output", unwritable),
         ("verify", "--suite", "small-exact", "--output", unwritable),
@@ -349,6 +343,15 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         out, err = capsys.readouterr()
         assert exc.value.code == 2, argv
         assert message in err and out == ""
+    # served, not refused: both ktp engines take every rank on the smallest side
+    for sizes, engine in (("10", "ktp"), ("4", "ktp"), ("10", "ktp-float")):
+        rows = []
+        for route in (engine, "exact"):
+            code, out, _ = run(capsys, "table", "--kind", "permute", "--rank", "5", "--n", sizes,
+                               "--engine", route, "--side", "smallest", "--format", "json")
+            assert code == 0, (sizes, route)
+            rows.append(json.loads(out)["rows"][0])
+        assert rows[0] == pytest.approx(rows[1], abs=1e-10), (sizes, engine)
 
 
 @pytest.mark.parametrize("kind", ["permute", "map"])
@@ -358,7 +361,7 @@ def test_ranks_far_above_n_exit_0_or_2_without_a_traceback(capsys, kind) -> None
     # log(n)^r is formed where it overflows (n = 5) or underflows (n = 2)
     cases = [("--rank", str(rank), "--n", "2,5", "--engine", engine, "--side", side)
              for rank in (6, 1500, 2500, 10**6) for engine in _ENGINES
-             for side in ("both", "largest")]  # ktp serves rank > 4 on the largest side only
+             for side in ("both", "largest")]
     cases.append(("--rank", "2000", "--n", "5", "--engine", "ktp", "--side", "largest"))
     for argv in cases:
         code, out, err = run(capsys, "table", "--kind", kind, *argv, "--format", "json")

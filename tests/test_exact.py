@@ -448,19 +448,17 @@ def test_one_column_chain_rows_are_the_wider_rows_bit_for_bit() -> None:
 
 
 def _store_reads(kind: ObjectKind, side: Side) -> dict:
-    """Each route that reads a rank at size n from the store: (read(r, n), sizes, r_max)."""
-    reads = {"pmf_float": (lambda r, n: pmf_float(kind, n, r, side).probs, (120,), None)}
+    """Each route that reads a rank at size n from the store: (read(r, n), sizes)."""
+    reads = {"pmf_float": (lambda r, n: pmf_float(kind, n, r, side).probs, (120,))}
     if kind is P and side is L:
-        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, L).probs, (120,),
-                                    None)
-        reads["longest_table"] = (lambda r, n: ktp.longest_table(r, n + 3, n).counts, (0, 120),
-                                  None)
-    if kind is P and side is S:  # ranks 1..4 alone: past n + 1 at n <= 2
-        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, S).probs, (1, 2), 4)
+        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, L).probs, (120,))
+        reads["longest_table"] = (lambda r, n: ktp.longest_table(r, n + 3, n).counts, (0, 120))
+    if kind is P and side is S:
+        reads["pmf_from_tables"] = (lambda r, n: ktp.pmf_from_tables(r, n, S).probs, (1, 2, 120))
         reads["pmf_from_tables_float"] = (
-            lambda r, n: ktp.pmf_from_tables_float(r, n, S).probs, (1, 2), 4)
+            lambda r, n: ktp.pmf_from_tables_float(r, n, S).probs, (1, 2, 120))
         reads["shortest_table"] = (lambda r, n: ktp.shortest_table(r, n + 3, n).counts,
-                                   (0, 1, 2), 4)
+                                   (0, 1, 2, 120))
     return reads
 
 
@@ -471,15 +469,13 @@ def test_ranks_past_n_plus_one_read_the_rank_n_plus_one_table(monkeypatch, kind,
     # rank n + 1 PMF and table rows, and is served from that table: no key
     # is added.  At n = 0 that is rank 2, since the shortest-side counts of
     # rank 1 hold the recursion's base case 1 where rank 2 holds 0
-    for name, (read, sizes, r_max) in _store_reads(kind, side).items():
+    for name, (read, sizes) in _store_reads(kind, side).items():
         for n in sizes:
             monkeypatch.setattr(exact, "_TABLES", {})
             base = max(n, 1) + 1
             want = read(base, n)
             keys = set(exact._TABLES)
-            past = [r for r in (base + 1, base + 6, 10**6) if r_max is None or r <= r_max]
-            assert past, (name, n)
-            for r in past:
+            for r in (base + 1, base + 6, 10**6):
                 assert read(r, n) == want, (name, n, r)
             assert set(exact._TABLES) == keys, (name, n)
     if kind is P and side is S:
