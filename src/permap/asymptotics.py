@@ -141,7 +141,7 @@ def largest_cdf(r: int, x: float) -> float:
 
     1/x must lie in the Dickman tables' range [0, 40].
     """
-    x = real(x, "largest_cdf: x")
+    r, x = whole(r, 1, "largest_cdf: order r", 4), real(x, "largest_cdf: x")
     if not (0.0 < x <= 1.0 and 1.0 / x <= _X_MAX):  # NaN included
         raise ValueError(f"largest_cdf requires 1/{_X_MAX} <= x <= 1, got x={x!r}")
     return dickman(r, 1.0 / x)

@@ -70,7 +70,7 @@ your own state here.  The protocol between the table builders and the
 store is stated once, in _stored.
 
 Every cumulative table, exact or float, largest or smallest side, is
-indexed by one threshold t = 0..top_threshold(n_max, r, side), the
+indexed by one threshold t = 0.._top_threshold(n_max, r, side), the
 largest possible digest: a component is small when its size is <= t,
 and cell t holds P{digest <= t} on the largest side and P{digest > t} on
 the smallest.  A builder derives its thresholds from its rank and n_max,
@@ -247,13 +247,15 @@ def smallest_poly(kind: ObjectKind, n: int, ranks: Sequence[RankEntry]) -> RowPo
     return _poly(kind, Side.SMALLEST, n, ranks)
 
 
-def top_threshold(n: int, r: int, side: Side) -> int:
+def _top_threshold(n: int, r: int, side: Side) -> int:
     """Largest possible digest at size n: the last threshold t a table reads.
 
     Largest side: r components larger than n/r will not fit, so the digest
     is at most n // r and the CDF P{digest <= t} is 1 from t = n // r on.
     Smallest side: the r-th smallest is at most n - (r-1) singleton
     companions, so the tail P{digest > t} is 0 from t = max(n-r+1, 0) on.
+    It checks nothing: support_length is its checked public form, and only
+    the table builders and readers, given checked arguments, call it.
     """
     if side is Side.LARGEST:
         return n // r
@@ -262,7 +264,7 @@ def top_threshold(n: int, r: int, side: Side) -> int:
 
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
-    return top_threshold(whole(n, 0, "support_length: size n"),
+    return _top_threshold(whole(n, 0, "support_length: size n"),
                          whole(r, 1, "support_length: rank r"),
                          member(side, Side, "support_length: side")) + 1
 
@@ -333,7 +335,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     """Raw top level of the chain as a table[m, t], sizes m = 0..n_max, and tau.
 
     Both sides count the components that are large against threshold t,
-    for t = 0..top_threshold(n_max, r, side): the largest side those of
+    for t = 0.._top_threshold(n_max, r, side): the largest side those of
     size > t, the smallest side those of size <= t.  Level c = 0..r-1 holds
     tau_m P{an m-object has at most c counted components}, and the top
     level r-1 is returned as it is, scaled by tau and with nothing
@@ -341,7 +343,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     _row_pmf, divided by tau_n, is P{r-th largest <= t} on the largest
     side; on the smallest side it is P{fewer than r components of size
     <= t}, and subtracting P{fewer than r components}, the row's own value
-    at t = top_threshold(n, r, side), leaves P{r-th smallest > t}, with the
+    at t = _top_threshold(n, r, side), leaves P{r-th smallest > t}, with the
     fewer-than-r-components digest 0.  lower, the (table, tau) of a rank
     r-1 build at a size >= n_max, holds level r-2 on rows <= n_max and
     columns <= this table's last; level r-1 is run from it instead of from
@@ -367,7 +369,7 @@ def _build_chain(kind: ObjectKind, side: Side, r: int, n_max: int,
     take the whole row sum.
     """
     largest = side is Side.LARGEST
-    width, rows = top_threshold(n_max, r, side) + 1, n_max + 1
+    width, rows = _top_threshold(n_max, r, side) + 1, n_max + 1
     q, tau = exp_log_weights(kind, n_max)
     uniform = kind is ObjectKind.PERMUTATION  # q = 1: sums over j are running sums
     if not uniform:
@@ -443,7 +445,7 @@ def _stored(build, args: tuple, n: int):
     case of their recursion, where every higher rank holds 0.
 
     Every table's thresholds are derived from its rank and n_max
-    (top_threshold), so one held size fixes the whole table.  A stored
+    (_top_threshold), so one held size fixes the whole table.  A stored
     table held at a size below n is rebuilt at n_max = max(n, 5/4 of held),
     so requests for n = 1..N in ascending order cost O(log N) builds.  When
     the store holds the same builder's rank r-1 table at a size >= n_max,
@@ -467,7 +469,7 @@ def _stored(build, args: tuple, n: int):
 
 
 def _differences(row: Sequence, total, side: Side) -> list:
-    """The digest's PMF times total, from cells t = 0..top_threshold of row n.
+    """The digest's PMF times total, from cells t = 0.._top_threshold of row n.
 
     Largest side: cell t is total P{digest <= t}, so digest t is cell t
     less cell t-1.  Smallest side: cell t is total P{digest > t}, 0 at the
@@ -490,7 +492,7 @@ def _row_pmf(table: np.ndarray, n: int, r: int, side: Side, tau: float) -> np.nd
     values outside [0, 1] are clipped into it; a value further out, or a
     mass sum off 1 by more than the tolerance, raises PrecisionError.
     """
-    row = table[n, : top_threshold(n, r, side) + 1] / tau
+    row = table[n, : _top_threshold(n, r, side) + 1] / tau
     if side is Side.SMALLEST:
         row -= row[-1]
     probs = np.array(_differences(row.tolist(), 1.0, side))

@@ -131,6 +131,7 @@ def exp_log_weights(kind: ObjectKind, m_max: int) -> tuple[np.ndarray, np.ndarra
     tau[m] is the product of the ratios tau[i]/tau[i-1], each
     exp((i-1) log1p(1/(i-1)) - 1); exp(log tau[m]) would lose digits.
     """
+    m_max = whole(m_max, 0, "exp_log_weights: size m_max")
     q, tau = np.ones(m_max + 1), np.ones(m_max + 1)
     q[0] = 0.0
     if member(kind, ObjectKind, "exp_log_weights: kind") is ObjectKind.MAPPING:

@@ -10,7 +10,7 @@ Knuth/Trabb Pardo-style tables, permutations only.  Two families:
                  fewer than r cycles has r-th shortest size 0.
 
 Stored tables index both families by exact's one threshold t, from 0 to
-the largest possible digest top_threshold(n_max, r, side): column t of
+the largest possible digest _top_threshold(n_max, r, side): column t of
 u_r is k = t (fewer than r cycles longer than t), and column t of v_r is
 k = t + 1 (r-th shortest longer than t).  So v_r(0, n) = n!, which
 nothing reads, is not stored; shortest_table puts that row back.  The
@@ -81,7 +81,7 @@ import numpy as np
 
 from . import exact
 from .kinds import ObjectKind, Side, whole
-from .exact import top_threshold
+from .exact import _top_threshold
 from .stats import ComponentPMF
 
 
@@ -181,7 +181,7 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     fact = [math.factorial(i) for i in range(n_max + 1)]
     done = 0 if lower is None else r - 1  # ranks the held table ran
     rows = []
-    for k in range(top_threshold(n_max, r, Side.LARGEST) + 1):
+    for k in range(_top_threshold(n_max, r, Side.LARGEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[k][: n_max + 1]
         for _ in range(done, r):
@@ -222,7 +222,7 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     for q in range(1, r + 1):
         cycles.append(_stirling(q, n_max, cycles[-1]))
     rows = []
-    for t in range(top_threshold(n_max, r, Side.SMALLEST) + 1):
+    for t in range(_top_threshold(n_max, r, Side.SMALLEST) + 1):
         falling = [fact[n - 1] // fact[n - 1 - t] if n > t else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[t][: n_max + 1]
         for q in range(1 if lower is None else r, r + 1):
@@ -284,7 +284,7 @@ def pmf_from_tables(r: int, n: int, side: Side) -> ComponentPMF:
     exact._check_rank(r, "pmf_from_tables", n, ObjectKind.PERMUTATION, side)
     rows = exact._stored(_u_rows if side is Side.LARGEST else _v_rows, (r,), n)
     fact = math.factorial(n)
-    cells = [rows[t][n] for t in range(top_threshold(n, r, side) + 1)]
+    cells = [rows[t][n] for t in range(_top_threshold(n, r, side) + 1)]
     counts = exact._differences(cells, fact, side)
     conj = side is Side.SMALLEST and r > 1
     return ComponentPMF(ObjectKind.PERMUTATION, n, r, side,
@@ -324,7 +324,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
     """
-    width = top_threshold(n_max, r, Side.SMALLEST) + 1
+    width = _top_threshold(n_max, r, Side.SMALLEST) + 1
     e = _elementary(n_max, r - 1)
     d = np.empty(width)  # D_q[t+1, n] for t < end
     z = lower  # the rank below; None before rank 1
@@ -339,7 +339,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
             if q > 1:
                 below_row += below[n - 1, :width]
                 exact._add_anti_diagonal(below_diag, below, n - 1, k)
-            end = min(top_threshold(n, q, Side.SMALLEST), width)
+            end = min(_top_threshold(n, q, Side.SMALLEST), width)
             cell = z[n, :end]
             if q == 1:
                 np.divide(diag[:end], n, out=cell)

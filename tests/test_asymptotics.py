@@ -178,10 +178,14 @@ def test_dickman_rejects_out_of_domain() -> None:
     with pytest.raises(ValueError, match="x=nan"):  # not "cannot convert float NaN to integer"
         dickman(1, math.nan)
     for bad in (True, 2.0, 0):  # the message names the order
-        for call in (lambda: dickman(bad, 1.0), lambda: largest_cdf(bad, 0.5),
-                     lambda: median_xi(bad)):
+        for call in (lambda: dickman(bad, 1.0), lambda: median_xi(bad)):
             with pytest.raises(ValueError, match="order r"):
                 call()
+    # largest_cdf names itself, not dickman, and checks r before x
+    for bad in (True, 2.0, 0, 5):
+        for x in (0.5, 7.0):
+            with pytest.raises(ValueError, match="largest_cdf: order r"):
+                largest_cdf(bad, x)
 
 
 _REAL_X = [

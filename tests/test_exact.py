@@ -16,13 +16,13 @@ from permap.exact import (
     INFINITY,
     PrecisionError,
     _build_chain,
+    _top_threshold,
     largest_poly,
     memo_stats,
     pmf,
     pmf_float,
     smallest_poly,
     support_length,
-    top_threshold,
 )
 from permap.kinds import ObjectKind, Side, total_count
 from permap.oracle import _spectrum
@@ -258,7 +258,7 @@ def test_support_length_bounds() -> None:
                 probs = pmf(P, n, r, side).probs
                 assert len(probs) == support_length(n, r, side)
                 # the top threshold is the largest possible digest on both sides
-                assert support_length(n, r, side) == top_threshold(n, r, side) + 1
+                assert support_length(n, r, side) == _top_threshold(n, r, side) + 1
                 assert probs[-1] > 0
 
 

@@ -92,6 +92,15 @@ def test_connected_rejects_empty_object() -> None:
                 total_count(kind, bad)
 
 
+def test_exp_log_weights_refuses_bad_sizes() -> None:
+    # True gave arrays of length 2, -1 an IndexError and 2.0 a TypeError
+    for kind in (P, M):
+        for bad in (True, -1, 2.0):
+            with pytest.raises(ValueError, match="exp_log_weights: size m_max"):
+                exp_log_weights(kind, bad)
+        assert [len(a) for a in exp_log_weights(kind, 0)] == [1, 1]
+
+
 def test_numpy_int_sizes_give_exact_python_int_counts() -> None:
     # a numpy size overflows past n = 15, and lru_cache would serve its
     # value to the equal int key afterwards

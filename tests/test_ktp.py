@@ -343,7 +343,7 @@ def test_shortest_counts_past_rank_four_match_the_window_recursion(r, top) -> No
     rows = ktp._v_rows(r, top)
     for n in range(1, top + 1):
         fact = math.factorial(n)
-        cells = [rows[t][n] for t in range(exact.top_threshold(n, r, S) + 1)]
+        cells = [rows[t][n] for t in range(exact._top_threshold(n, r, S) + 1)]
         got = tuple(Fraction(count, fact) for count in exact._differences(cells, fact, S))
         assert got == exact.pmf(P, n, r, S).probs, (r, n)
 
@@ -549,7 +549,7 @@ def test_builders_never_call_the_store(monkeypatch) -> None:
     for r in (1, 2, 3, 4):
         for side in (L, S):
             for kind in (P, M):
-                width = exact.top_threshold(12, r, side) + 1
+                width = exact._top_threshold(12, r, side) + 1
                 top, tau = exact._build_chain(kind, side, r, 12)
                 assert top.shape == (13, width) and tau.shape == (13,)
                 if r > 1:
