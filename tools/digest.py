@@ -8,6 +8,7 @@ rank 0 and warm from a held rank r-1 table), the exact and float
 permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
 warm), the public ktp tables and PMFs read through the store at ranks up
 to and past n + 1 (sizes asked in ascending and in descending order), the
+smallest-side ktp PMFs at ranks 5..8, the
 Stirling cycle numbers c(n, k) for n <= 200 and k <= 5 (asked in
 ascending and in descending n), the
 summaries (stats.summarize) of the float PMFs at every size up to 200
@@ -52,6 +53,8 @@ V_NORM_SIZES = (1, 2, 3, 5, 37, 200, 1500)
 EXACT_SIZES = (0, 1, 2, 3, 5, 37, 120)
 # sizes of the store reads; each is asked at ranks 1..4 and past n + 1
 STORE_SIZES = (0, 1, 2, 3, 5, 20)
+# the smallest-side ktp PMFs past the paper's ranks, at every size 1..top
+HIGH_RANKS, HIGH_RANK_TOP = (5, 6, 7, 8), 40
 # summaries of every size 1..top: float PMFs per kind, exact PMFs of both kinds
 SUMMARY_TOPS = {ObjectKind.PERMUTATION: 200, ObjectKind.MAPPING: 100}
 EXACT_SUMMARY_TOP = 12
@@ -130,29 +133,33 @@ def exact_table_lines() -> list[str]:
     return lines
 
 
-# each public read of the store, with the ranks it serves at size n
+# each public read of the store
 STORE_READS = {
-    "longest_table": (lambda r, n: ktp.longest_table(r, n + 2, n), None),
-    "shortest_table": (lambda r, n: ktp.shortest_table(r, n + 2, n), 4),
-    "pmf_from_tables largest": (lambda r, n: ktp.pmf_from_tables(r, n, Side.LARGEST), None),
-    "pmf_from_tables smallest": (lambda r, n: ktp.pmf_from_tables(r, n, Side.SMALLEST), 4),
+    "longest_table": lambda r, n: ktp.longest_table(r, n + 2, n),
+    "shortest_table": lambda r, n: ktp.shortest_table(r, n + 2, n),
+    "pmf_from_tables largest": lambda r, n: ktp.pmf_from_tables(r, n, Side.LARGEST),
+    "pmf_from_tables smallest": lambda r, n: ktp.pmf_from_tables(r, n, Side.SMALLEST),
     "pmf_from_tables_float smallest":
-        (lambda r, n: ktp.pmf_from_tables_float(r, n, Side.SMALLEST), 4),
+        lambda r, n: ktp.pmf_from_tables_float(r, n, Side.SMALLEST),
 }
 
 
 def store_lines() -> list[str]:
     lines = []
-    for name, (read, r_max) in STORE_READS.items():
+    for name, read in STORE_READS.items():
         # the PMF routes refuse n = 0
         sizes = STORE_SIZES if name.endswith("table") else STORE_SIZES[1:]
-        asks = [(r, n) for n in sizes for r in (*RANKS, n + 2, n + 5, 10**6)
-                if r_max is None or r <= r_max]
+        asks = [(r, n) for n in sizes for r in (*RANKS, n + 2, n + 5, 10**6)]
         for order, seq in (("ascending", asks), ("descending", asks[::-1])):
             exact._TABLES.clear()
             got = [read(r, n) for r, n in seq]
             lines.append(f"{hashlib.sha256(repr(got).encode()).hexdigest()}  "
                          f"{name} {order}")
+    exact._TABLES.clear()
+    got = [read(r, n, Side.SMALLEST) for read in (ktp.pmf_from_tables, ktp.pmf_from_tables_float)
+           for r in HIGH_RANKS for n in range(1, HIGH_RANK_TOP + 1)]
+    lines.append(f"{hashlib.sha256(repr(got).encode()).hexdigest()}  pmf_from_tables and "
+                 f"pmf_from_tables_float smallest r=5..8 n=1..{HIGH_RANK_TOP}")
     exact._TABLES.clear()
     return lines
 
