@@ -265,8 +265,8 @@ def _top_threshold(n: int, r: int, side: Side) -> int:
 def support_length(n: int, r: int, side: Side) -> int:
     """Number of possible sizes (0..bound) of the r-th ranked component."""
     return _top_threshold(whole(n, 0, "support_length: size n"),
-                         whole(r, 1, "support_length: rank r"),
-                         member(side, Side, "support_length: side")) + 1
+                          whole(r, 1, "support_length: rank r"),
+                          member(side, Side, "support_length: side")) + 1
 
 
 def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side) -> None:

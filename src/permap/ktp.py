@@ -311,13 +311,13 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_{r-1} are built
     once from the harmonic sums (_elementary) and row n of D_q is a
     reversed view of a slice of one of them; no D table is held.  Ranks
-    run from q = 1 over
-    the all-zero rank 0, or rank r alone from lower, a rank r-1 table held
-    at a size >= n_max, read in place through its own width and never
-    written, whose rows and columns up to this table's are the bits the
-    ranks below r would give.  So a warm build holds only the table it
-    returns, and a cold one also the rank below: each rank's table is
-    allocated after the rank two below it is dropped.  Each step writes
+    run from q = 1 over the all-zero rank 0, or rank r alone from lower, a
+    rank r-1 table held at a size >= n_max, read in place through its own
+    width and never written, whose rows and columns up to this table's are
+    the bits the ranks below r would give.  So a warm build holds only the
+    table it returns, and a cold one also the rank below: each rank's table
+    is allocated after the rank two below it is dropped.  Besides them, e
+    and the power sums hold r rows of n_max + 1 each.  Each step writes
     through out= ufuncs into the table's row and one scratch row, and
     allocates no array memory.
 
@@ -356,9 +356,10 @@ def pmf_from_tables_float(r: int, n: int, side: Side) -> ComponentPMF:
     """Float PMF of the r-th ranked cycle size, any rank r >= 1: the conjecture check.
 
     The largest side is exact.pmf_float, the production engine, itself;
-    the smallest side runs the conjectural recursion, e_q for q < r taken
-    from _elementary, to be compared with exact.pmf_float's proven chain.  Both raise PrecisionError when the
-    mass-sum or probability-range check fails.
+    the smallest side runs the conjectural recursion, with e_q for q < r
+    from _elementary, to be compared with exact.pmf_float's proven chain.
+    Both raise PrecisionError when the mass-sum or probability-range check
+    fails.
     """
     exact._check_rank(r, "pmf_from_tables_float", n, ObjectKind.PERMUTATION, side)
     if side is Side.LARGEST:

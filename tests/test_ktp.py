@@ -386,10 +386,7 @@ def test_pmf_from_tables_matches_rank_window_engine() -> None:
         for side in (L, S):
             for n in range(1, 26):
                 assert pmf_from_tables(r, n, side).probs == exact.pmf(P, n, r, side).probs
-
-
-def test_pmf_from_tables_serves_ranks_past_four_on_the_smallest_side() -> None:
-    for r in range(5, 9):
+    for r in range(5, 9):  # the smallest side past the paper's ranks
         for n in range(1, 21):
             assert pmf_from_tables(r, n, S).probs == exact.pmf(P, n, r, S).probs, (r, n)
 
@@ -767,8 +764,8 @@ def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
 
 
 def test_float_recursion_takes_overflowing_power_sums_silently() -> None:
-    # j^i passes the float range from i = 150 at j >= 113: 1/j^i is taken as
-    # 0.0, with no RuntimeWarning (an error under this suite's filter)
+    # rank 150 reads e_149, whose power sum p_149 holds j^149 = inf from
+    # j = 118: 1/j^i is taken as 0.0, with no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         conjectural = pmf_from_tables_float(150, 300, S).probs

@@ -7,19 +7,18 @@ Prints one line per item, "<sha256>  <item>": the threshold-chain tables
 rank 0 and warm from a held rank r-1 table), the exact and float
 permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
 warm), the public ktp tables and PMFs read through the store at ranks up
-to and past n + 1 (sizes asked in ascending and in descending order), the
-smallest-side ktp PMFs at ranks 5..8, the
+to and past n + 1 (sizes asked in ascending and in descending order),
+the smallest-side ktp PMFs at ranks 5..8 and every size up to 40, the
 Stirling cycle numbers c(n, k) for n <= 200 and k <= 5 (asked in
-ascending and in descending n), the
-summaries (stats.summarize) of the float PMFs at every size up to 200
-(permutations) and 100 (mappings) and of the exact PMFs up to 12, both
-kinds and sides, ranks 1..4, the window recursion's exact PMFs
-(exact.pmf) at ranks 1..4 and every size up to 40 (permutations) and 30
-(mappings), asked in ascending order so that each sweep crosses several
-slot widths of the window memo, the pieces of each Dickman table, and the
-stdout and exit code of every command that prints a published table or
-constant.  Two checkouts compute the same numbers when their outputs
-have no diff:
+ascending and in descending n), the summaries (stats.summarize) of the
+float PMFs at every size up to 200 (permutations) and 100 (mappings) and
+of the exact PMFs up to 12, both kinds and sides, ranks 1..4, the window
+recursion's exact PMFs (exact.pmf) at ranks 1..4 and every size up to 40
+(permutations) and 30 (mappings), asked in ascending order so that each
+sweep crosses several slot widths of the window memo, the pieces of each
+Dickman table, and the stdout and exit code of every command that prints
+a published table or constant.  Two checkouts compute the same numbers
+when their outputs have no diff:
 
     diff <(python3 tools/digest.py) <(python3 /other/checkout/tools/digest.py)
 
