@@ -17,12 +17,32 @@ any real size); on the smallest side it starts as r copies of INFINITY
 means the object had fewer than r components, reported as size 0.
 
 The memo keys a row on one flat tuple (m, *window): m, the number of
-nodes left, then a canonical window; later components have size <= m.
-Largest side: once the minimum is >= m the row is t_m x^min; otherwise
-an entry >= m is never displaced, and is the digest only beside one
-size-m component: it is stored as m.
+nodes left, then a canonical window.  Later components number at most m
+and have size <= m, so some entries can never be displaced or be the
+digest; one rule per side (_largest_state, _smallest_state) drops them,
+at the entry window and at every child alike.  A rank-r state so
+becomes the lower-rank state with the same row, and the memo holds
+windows of several lengths by design: ranks share their rows.  Every
+canonical window has at most m + 1 entries.
+Largest side: once the minimum is >= m the row is t_m x^min.  Otherwise
+at most floor(m/(w+1)) later components exceed w, so if m < (k-1)(w_k+1)
+for some k >= 2, at most k-2 of them exceed w_k, and the row of
+(m; w_1..w_s) is the row of (m; w_1..w_k-1), taking the smallest such k.
+Proof: let d be the (k-1)-th largest of w_1..w_k-1 and the later sizes.
+At most k-2 of those exceed w_k, so d <= w_k; so w_k..w_s and the k-1
+largest of the rest are s values >= d, and at most (s-k+1) + (k-2)
+values exceed d: d is the s-th largest of all, the digest.  An entry w_k >= m
+(k >= 2) is such a case, and so are zeros past the first m + 1.
 Smallest side, m >= 1: the next component displaces a maximum >= m, or
-ties it, so the maximum is stored as INFINITY.
+ties it, so the maximum is stored as INFINITY.  An entry <= 1 lies at or
+below every later size, so the s-th smallest of the window and the later
+sizes is the (s-1)-th smallest of the rest: leading entries <= 1 are
+dropped, keeping one entry.  And only the largest m + 1 entries are
+kept.  Proof: let d be the (m+1)-th smallest of those entries and the
+later sizes.  At most m later sizes come, so d is at least one of those
+entries, and so at least each of the s-m-1 dropped ones; so at most
+(s-m-1) + m values lie below d and at least s at or below it: d is the
+s-th smallest of all, the digest.
 
 Rows are packed by Kronecker substitution (Schoenhage 1982): a row
 polynomial is stored as one int, coefficient k in slot k, B bits wide,
@@ -142,6 +162,38 @@ def _unpack(row: int, width: int, total: int) -> tuple[int, ...]:
     return coeffs
 
 
+def _largest_state(state: tuple) -> tuple:
+    """Canonical largest-side state (m, w_1..w_k-1) of a state (m, w_1..w_s).
+
+    The entries from w_k on are dropped at the smallest k >= 2 with m <
+    (k-1)(w_k+1): at most k-2 future components exceed w_k, so those
+    entries are never displaced and never the digest.
+    """
+    m = state[0]
+    for k in range(2, len(state)):
+        if m < (k - 1) * (state[k] + 1):
+            return state[:k]
+    return state
+
+
+def _smallest_state(state: tuple) -> tuple:
+    """Canonical smallest-side state of a state (m, w_1..w_s) with m >= 1.
+
+    A maximum >= m is stored as INFINITY; then the leading entries <= 1,
+    and all but the last m + 1 entries, are dropped, keeping at least one.
+    So a state changes only if its maximum is finite and >= m, its first
+    entry is <= 1, or it has more than m + 1 entries.
+    """
+    m, high = state[0], state[-1]
+    if m <= high < INFINITY:
+        state = state[:-1] + (INFINITY,)
+    first = len(state) - m - 1  # the first of the last m + 1 entries
+    if state[1] <= 1:
+        first = max(first, bisect_right(state, 1, 1))
+    first = min(first, len(state) - 1)
+    return (m,) + state[first:] if first > 1 else state
+
+
 def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[int, ...]:
     # coefficients of a row at m <= n are at most t_m <= t_n
     need = total_count(kind, n).bit_length() + 2
@@ -150,13 +202,12 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
         width, rows = -(-need // 64) * 64, {}
         _MEMO[kind, side] = width, rows
     totals = [total_count(kind, m) for m in range(n + 1)]
-    r = len(window)
 
-    # largest/smallest(state) run one step from a state (m, *window) whose
-    # canonical window is not final; each child state (left, *window) is
-    # built, made canonical inline and looked up before recursing, so a
-    # memo hit costs no call.  The window is state[1:], so bisects run with
-    # lo=1, and the state itself is the row's one key
+    # largest/smallest(state) run one step from a canonical state (m,
+    # *window) that is not final; each child state (left, *window) is
+    # built, made canonical and looked up before recursing, so a memo hit
+    # costs no recursive call.  The window is state[1:], so bisects run
+    # with lo=1, and the state itself is the row's one key
     def largest(state: tuple) -> int:
         acc = 0
         m = state[0]
@@ -167,9 +218,7 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
             if child[1] >= left:  # sizes <= left displace nothing: the window is final
                 acc += (weight * totals[left]) << (child[1] * width)
                 continue
-            k = bisect_left(child, left, 1)
-            if k <= r:
-                child = child[:k] + (left,) * (r + 1 - k)
+            child = _largest_state(child)
             row = rows.get(child)
             acc += weight * (largest(child) if row is None else row)
         rows[state] = acc
@@ -181,13 +230,14 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
         for j, weight in enumerate(_weights(kind, m), 1):
             i = bisect_right(state, j, 1)
             left = m - j
-            child = (left,) + state[1:i] + (j,) + state[i:-1] if i <= r else (left,) + state[1:]
+            child = ((left,) + state[1:i] + (j,) + state[i:-1] if j < state[-1]
+                     else (left,) + state[1:])
             high = child[-1]
             if left == 0:  # an INFINITY digest: fewer than r components, size 0
                 acc += weight if high == INFINITY else weight << (high * width)
                 continue
-            if left <= high < INFINITY:
-                child = child[:-1] + (INFINITY,)
+            if left <= high < INFINITY or child[1] <= 1 or len(child) > left + 2:
+                child = _smallest_state(child)  # called only where it may change child
             row = rows.get(child)
             acc += weight * (smallest(child) if row is None else row)
         rows[state] = acc
@@ -196,16 +246,11 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
     if side is Side.LARGEST:
         if window[0] >= n:
             return (0,) * window[0] + (totals[n],)
-        k = bisect_left(window, n)
-        window = window[:k] + (n,) * (r - k)
-        rec = largest
+        state, rec = _largest_state((n,) + window), largest
     else:
         if n == 0:
             return (1,) if window[-1] == INFINITY else (0,) * window[-1] + (1,)
-        if n <= window[-1] < INFINITY:
-            window = window[:-1] + (INFINITY,)
-        rec = smallest
-    state = (n,) + window
+        state, rec = _smallest_state((n,) + window), smallest
     row = rows.get(state)
     if row is None:
         limit = sys.getrecursionlimit()
@@ -284,7 +329,9 @@ def _check_rank(r: int, what: str, n: int, kind: ObjectKind, side: Side) -> None
 def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
     """Exact distribution of the r-th ranked component size, as Fractions."""
     _check_rank(r, "pmf", n, kind, side)
-    slots = min(r, n + 1)  # at most n components: a wider window keeps the digest 0
+    # the canonical window keeps at most n + 1 entries of any wider one:
+    # building no more spares an r-tuple at a rank far past n
+    slots = min(r, n + 1)
     if side is Side.LARGEST:
         coeffs = largest_poly(kind, n, (0,) * slots).coeffs
     else:
@@ -300,9 +347,11 @@ def pmf(kind: ObjectKind, n: int, r: int, side: Side) -> ComponentPMF:
 def memo_stats() -> dict[str, int]:
     """Rows held per (kind, side) memo, for capacity planning.
 
-    Each row is one packed int keyed by one tuple (m, *window), at the
-    memo's one slot width: the smallest multiple of 64 bits that holds
-    bits(t_n) + 2 for the request of size n that last widened it.
+    Each row is one packed int keyed by one canonical state (m, *window),
+    at the memo's one slot width: the smallest multiple of 64 bits that
+    holds bits(t_n) + 2 for the request of size n that last widened it.
+    Windows of every length share one memo, so a row counts once however
+    many ranks read it.
     """
     return {f"{kind.value}/{side.value}": len(rows) for (kind, side), (_, rows) in _MEMO.items()}
 

@@ -137,13 +137,14 @@ def test_smallest_intermediate_windows(kind, c) -> None:
 
 
 def test_every_small_window_matches_enumeration() -> None:
-    # windows with entries at or above the nodes left are the ones the
-    # memo keys collapse; the r-th ranked size of window + components is
-    # the digest
+    # the canonical states drop entries at or above the nodes left, past
+    # m/(k-1) on the largest side, and leading entries <= 1 and all but
+    # the last m + 1 on the smallest; the r-th ranked size of window +
+    # components is the digest
     for kind, n_top in ((P, 6), (M, 5)):
         for n in range(n_top + 1):
             spectrum = _spectrum(kind, n) if n else Counter({(): 1})  # the one empty table
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 for side, entries in ((L, range(n + 3)), (S, [*range(n + 3), INFINITY])):
                     for window in itertools.combinations_with_replacement(entries, r):
                         tally = Counter()
@@ -526,19 +527,45 @@ def test_memo_stats_reports_sizes(monkeypatch) -> None:
     largest_poly(P, 6, (0, 0))
     sizes = memo_stats()
     assert any(count > 0 for count in sizes.values())
-    # canonical windows: raw windows held 46,977 and 17,338 entries here
+    # canonical states: raw windows held 46,977 and 17,338 entries here,
+    # and rank-4 windows alone, before ranks shared rows, 11,163 and 10,023
     monkeypatch.setattr(exact, "_MEMO", {})
     pmf(P, 40, 4, L)
     pmf(P, 40, 4, S)
     sizes = memo_stats()
-    assert sizes["permutation/largest"] <= 11_163
-    assert sizes["permutation/smallest"] <= 10_023
+    assert sizes["permutation/largest"] <= 3_184
+    assert sizes["permutation/smallest"] <= 9_176
     # packed bits at 192-bit slots, the smallest multiple of 64 that holds
-    # bits(40!) + 2
+    # bits(40!) + 2: 12,284,999 and 21,279,132 before ranks shared rows
     bits = {side: sum(row.bit_length() for row in exact._MEMO[P, side][1].values())
             for side in (L, S)}
-    assert bits[L] <= 12_284_999
-    assert bits[S] <= 21_279_132
+    assert bits[L] <= 3_710_390
+    assert bits[S] <= 19_400_477
+
+
+@pytest.mark.parametrize("kind,top", [(P, 25), (M, 15)])
+@pytest.mark.parametrize("side", [L, S])
+def test_window_pmfs_do_not_depend_on_the_order_of_requests(monkeypatch, kind, top, side) -> None:
+    # ranks share rows: a row first built for one rank is read by another,
+    # so every order must give the same PMFs and the same row at every key
+    runs = []
+    for ranks in ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1), (1, 6, 2, 5, 3, 4)):
+        monkeypatch.setattr(exact, "_MEMO", {})
+        got = {(n, r): pmf(kind, n, r, side).probs for r in ranks for n in range(1, top + 1)}
+        runs.append((got, exact._MEMO[kind, side]))
+    (first, (width, rows)), *others = runs
+    for got, (other_width, other_rows) in others:
+        assert got == first
+        assert other_width == width
+        shared = rows.keys() & other_rows.keys()
+        assert shared
+        assert all(rows[key] == other_rows[key] for key in shared)
+
+
+def test_pmf_serves_ranks_far_past_n() -> None:
+    # at most n components: the window is built with n + 1 entries, never r
+    for side in (L, S):
+        assert pmf(P, 3, 10**12, side).probs == (Fraction(1),)
 
 
 def test_unpack_rejects_a_carried_row() -> None:
