@@ -133,9 +133,11 @@ def _elementary(n_max: int, q_max: int) -> np.ndarray:
     columns m >= q are summed.
     """
     p, e = np.zeros((2, q_max + 1, n_max + 1))
-    i = np.arange(1, q_max + 1)[:, None]
-    with np.errstate(over="ignore"):
-        p[1:, 1:] = (-1.0) ** (i - 1) * np.cumsum(1.0 / np.arange(1.0, n_max + 1) ** i, axis=1)
+    j = np.arange(1.0, n_max + 1)
+    for i in range(1, q_max + 1):  # one row at a time: no (q_max x n_max) temporaries
+        with np.errstate(over="ignore"):
+            np.cumsum(1.0 / j**i, out=p[i, 1:])
+        p[i, 1:] *= (-1.0) ** (i - 1)
     e[0] = 1.0
     for q in range(1, q_max + 1):
         e[q, q:] = np.sum(e[q - 1 :: -1, q:] * p[1 : q + 1, q:], axis=0) / q
