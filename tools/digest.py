@@ -15,7 +15,9 @@ float PMFs at every size up to 200 (permutations) and 100 (mappings) and
 of the exact PMFs up to 12, both kinds and sides, ranks 1..4, the window
 recursion's exact PMFs (exact.pmf) at ranks 1..4 and every size up to 40
 (permutations) and 30 (mappings), asked in ascending order so that each
-sweep crosses several slot widths of the window memo, the pieces of each
+sweep crosses several slot widths of the window memo, and again at ranks
+6 down to 1 (sizes up to 30 and 20) from one empty memo, so that lower
+ranks read rows that higher ones built, the pieces of each
 Dickman table, and the stdout and exit code of every command that prints
 a published table or constant.  Two checkouts compute the same numbers
 when their outputs have no diff:
@@ -59,6 +61,10 @@ SUMMARY_TOPS = {ObjectKind.PERMUTATION: 200, ObjectKind.MAPPING: 100}
 EXACT_SUMMARY_TOP = 12
 # window-recursion PMFs of every size 1..top: t_n outgrows two or more slot widths
 WINDOW_TOPS = {ObjectKind.PERMUTATION: 40, ObjectKind.MAPPING: 30}
+# the same PMFs with ranks asked from the highest down, from one empty memo,
+# so that the lower ranks read rows first built for the higher ones
+DESCENDING_RANKS, DESCENDING_TOPS = (6, 5, 4, 3, 2, 1), {ObjectKind.PERMUTATION: 30,
+                                                        ObjectKind.MAPPING: 20}
 
 PERM_SIZES = "1000,1500,2000,2500"
 COMMANDS = [
@@ -206,6 +212,12 @@ def window_lines() -> list[str]:
                              for n in range(1, top + 1) for r in RANKS)
             lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  "
                          f"pmf {kind.value} {side.value} r=1..4 n=1..{top} ascending")
+    exact._MEMO.clear()
+    text = "\n".join(" ".join(map(str, exact.pmf(kind, n, r, side).probs))
+                     for kind, top in DESCENDING_TOPS.items() for side in Side
+                     for r in DESCENDING_RANKS for n in range(1, top + 1))
+    lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  pmf both kinds and sides "
+                 f"r={DESCENDING_RANKS[0]}..{DESCENDING_RANKS[-1]} descending")
     exact._MEMO.clear()
     return lines
 
