@@ -31,8 +31,8 @@ for some k >= 2, at most k-2 of them exceed w_k, and the row of
 Proof: let d be the (k-1)-th largest of w_1..w_k-1 and the later sizes.
 At most k-2 of those exceed w_k, so d <= w_k; so w_k..w_s and the k-1
 largest of the rest are s values >= d, and at most (s-k+1) + (k-2)
-values exceed d: d is the s-th largest of all, the digest.  An entry w_k >= m
-(k >= 2) is such a case, and so are zeros past the first m + 1.
+values exceed d: d is the s-th largest of all, the digest.  An entry
+w_k >= m (k >= 2) is such a case, and so are zeros past the first m + 1.
 Smallest side, m >= 1: the next component displaces a maximum >= m, or
 ties it, so the maximum is stored as INFINITY.  An entry <= 1 lies at or
 below every later size, so the s-th smallest of the window and the later
@@ -103,7 +103,7 @@ at the top threshold on the smallest side.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -181,8 +181,6 @@ def _smallest_state(state: tuple) -> tuple:
 
     A maximum >= m is stored as INFINITY; then the leading entries <= 1,
     and all but the last m + 1 entries, are dropped, keeping at least one.
-    So a state changes only if its maximum is finite and >= m, its first
-    entry is <= 1, or it has more than m + 1 entries.
     """
     m, high = state[0], state[-1]
     if m <= high < INFINITY:
@@ -232,12 +230,11 @@ def _row_coeffs(kind: ObjectKind, side: Side, n: int, window: tuple) -> tuple[in
             left = m - j
             child = ((left,) + state[1:i] + (j,) + state[i:-1] if j < state[-1]
                      else (left,) + state[1:])
-            high = child[-1]
             if left == 0:  # an INFINITY digest: fewer than r components, size 0
+                high = child[-1]
                 acc += weight if high == INFINITY else weight << (high * width)
                 continue
-            if left <= high < INFINITY or child[1] <= 1 or len(child) > left + 2:
-                child = _smallest_state(child)  # called only where it may change child
+            child = _smallest_state(child)
             row = rows.get(child)
             acc += weight * (smallest(child) if row is None else row)
         rows[state] = acc
