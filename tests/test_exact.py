@@ -137,10 +137,10 @@ def test_smallest_intermediate_windows(kind, c) -> None:
 
 
 def test_every_small_window_matches_enumeration() -> None:
-    # the canonical states drop entries at or above the nodes left, past
-    # m/(k-1) on the largest side, and leading entries <= 1 and all but
-    # the last m + 1 on the smallest; the r-th ranked size of window +
-    # components is the digest
+    # the canonical states drop the entries that can never move: from w_k
+    # on where m < (k-1)(w_k+1) on the largest side, leading entries <= 1
+    # and all but the last m + 1 on the smallest; the r-th ranked size of
+    # window + components is the digest
     for kind, n_top in ((P, 6), (M, 5)):
         for n in range(n_top + 1):
             spectrum = _spectrum(kind, n) if n else Counter({(): 1})  # the one empty table
@@ -552,14 +552,13 @@ def test_window_pmfs_do_not_depend_on_the_order_of_requests(monkeypatch, kind, t
     for ranks in ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1), (1, 6, 2, 5, 3, 4)):
         monkeypatch.setattr(exact, "_MEMO", {})
         got = {(n, r): pmf(kind, n, r, side).probs for r in ranks for n in range(1, top + 1)}
-        runs.append((got, exact._MEMO[kind, side]))
-    (first, (width, rows)), *others = runs
-    for got, (other_width, other_rows) in others:
-        assert got == first
-        assert other_width == width
-        shared = rows.keys() & other_rows.keys()
+        runs.append((got, *exact._MEMO[kind, side]))
+    for (got, width, rows), (again, width_again, rows_again) in itertools.combinations(runs, 2):
+        assert got == again
+        assert width == width_again
+        shared = rows.keys() & rows_again.keys()
         assert shared
-        assert all(rows[key] == other_rows[key] for key in shared)
+        assert all(rows[key] == rows_again[key] for key in shared)
 
 
 def test_pmf_serves_ranks_far_past_n() -> None:
