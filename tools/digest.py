@@ -91,51 +91,39 @@ def _held(n_max: int) -> tuple[int, ...]:
     return (n_max, n_max + n_max // 4 + 1)
 
 
+def _cold_warm(label: str, build, sizes, sha) -> list[str]:
+    """Digests of build(r, n) at ranks 1..4, cold from rank 0 and warm from a
+    held rank r-1 table, as "<sha>  <label> r=<r> cold|warm" lines."""
+    lines = []
+    for r in RANKS:
+        cold = [build(r, n) for n in sizes]
+        lines.append(f"{sha(cold)}  {label} r={r} cold")
+        if r == 1:
+            continue
+        warm = [build(r, n, build(r - 1, held))
+                for n in sizes if r <= n + 1 for held in _held(n)]
+        lines.append(f"{sha(warm)}  {label} r={r} warm")
+    return lines
+
+
 def chain_lines() -> list[str]:
     lines = []
     for kind, sizes in CHAIN_SIZES.items():
         for side in Side:
-            for r in RANKS:
-                cold = [exact._build_chain(kind, side, r, n) for n in sizes]
-                lines.append(f"{_sha(*(a for pair in cold for a in pair))}  "
-                             f"_build_chain {kind.value} {side.value} r={r} cold")
-                if r == 1:
-                    continue
-                warm = [exact._build_chain(kind, side, r, n,
-                                           exact._build_chain(kind, side, r - 1, held))
-                        for n in sizes if r <= n + 1 for held in _held(n)]
-                lines.append(f"{_sha(*(a for pair in warm for a in pair))}  "
-                             f"_build_chain {kind.value} {side.value} r={r} warm")
+            lines += _cold_warm(f"_build_chain {kind.value} {side.value}",
+                                lambda r, n, lower=None: exact._build_chain(kind, side, r, n, lower),
+                                sizes, lambda pairs: _sha(*(a for pair in pairs for a in pair)))
     return lines
 
 
 def v_norm_lines() -> list[str]:
-    lines = []
-    for r in RANKS:
-        cold = [ktp._v_norm(r, n) for n in V_NORM_SIZES]
-        lines.append(f"{_sha(*cold)}  _v_norm r={r} cold")
-        if r == 1:
-            continue
-        warm = [ktp._v_norm(r, n, ktp._v_norm(r - 1, held))
-                for n in V_NORM_SIZES if r <= n + 1 for held in _held(n)]
-        lines.append(f"{_sha(*warm)}  _v_norm r={r} warm")
-    return lines
+    return _cold_warm("_v_norm", ktp._v_norm, V_NORM_SIZES, lambda tables: _sha(*tables))
 
 
 def exact_table_lines() -> list[str]:
-    lines = []
-    for build in (ktp._u_rows, ktp._v_rows):
-        for r in RANKS:
-            cold = [build(r, n) for n in EXACT_SIZES]
-            lines.append(f"{hashlib.sha256(repr(cold).encode()).hexdigest()}  "
-                         f"{build.__name__} r={r} cold")
-            if r == 1:
-                continue
-            warm = [build(r, n, build(r - 1, held))
-                    for n in EXACT_SIZES if r <= n + 1 for held in _held(n)]
-            lines.append(f"{hashlib.sha256(repr(warm).encode()).hexdigest()}  "
-                         f"{build.__name__} r={r} warm")
-    return lines
+    return [line for build in (ktp._u_rows, ktp._v_rows)
+            for line in _cold_warm(build.__name__, build, EXACT_SIZES,
+                                   lambda rows: hashlib.sha256(repr(rows).encode()).hexdigest())]
 
 
 # each public read of the store
