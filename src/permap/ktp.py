@@ -41,9 +41,9 @@ j = 0 is (n-1)!, so delta_1 = 0; from r = 2 on the sums read rank r-1
 only at sizes >= 1, and rank r at size 0, where v_r(k, 0) = 0 (_v_rows).
 The correction has two closed forms (see delta), and each route takes
 its own: the exact tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r),
-and the float tables use (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q from
-harmonic sums by Newton's identities, so that the two routes check each
-other.
+and the float tables use (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q built
+one value at a time by e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m, so that the
+two routes check each other.
 
 Every route here verifies exact.pmf_float, the one production engine.
 The exact tables are built by the three-term recurrences that their
@@ -125,22 +125,17 @@ def stirling_cycle(n: int, k: int) -> int:
 def _elementary(n_max: int, q_max: int) -> np.ndarray:
     """e[q, m] = e_q(1, 1/2, ..., 1/m) for q = 0..q_max and m = 0..n_max, in float.
 
-    Newton's identities, q e_q = sum_{i=1}^{q} (-1)^(i-1) e_{q-i} p_i, over
-    the harmonic power sums p_i[m] = sum_{j<=m} 1/j^i, held with their
-    signs, so that the float route reaches the correction term by another
-    closed form than delta.  Where j^i overflows, 1/j^i is 0.0 to double
-    precision.  e_q of fewer than q values is 0, and is left so: only the
-    columns m >= q are summed.
+    Adding 1/m to the set gives e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m, so row
+    q is the running sum of row q-1 divided by m, from e_q(0) = 0 for
+    q >= 1: the float route reaches the correction term by another closed
+    form than delta, in sums of positive terms.  e_q of fewer than q values
+    is 0, exactly: the first q - 1 terms of row q's running sum are 0.0.
     """
-    p, e = np.zeros((2, q_max + 1, n_max + 1))
-    j = np.arange(1.0, n_max + 1)
-    for i in range(1, q_max + 1):  # one row at a time: no (q_max x n_max) temporaries
-        with np.errstate(over="ignore"):
-            np.cumsum(1.0 / j**i, out=p[i, 1:])
-        p[i, 1:] *= (-1.0) ** (i - 1)
+    e = np.zeros((q_max + 1, n_max + 1))
     e[0] = 1.0
+    m = np.arange(1.0, n_max + 1)
     for q in range(1, q_max + 1):
-        e[q, q:] = np.sum(e[q - 1 :: -1, q:] * p[1 : q + 1, q:], axis=0) / q
+        np.cumsum(e[q - 1, :-1] / m, out=e[q, 1:])
     return e
 
 
@@ -180,11 +175,10 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     Each column runs ranks 1..r in turn from u_0, or rank r alone from
     column k of lower, a rank r-1 table held at a size >= n_max.
     """
-    fact = [math.factorial(i) for i in range(n_max + 1)]
     done = 0 if lower is None else r - 1  # ranks the held table ran
     rows = []
     for k in range(_top_threshold(n_max, r, Side.LARGEST) + 1):
-        falling = [fact[n - 1] // fact[n - 1 - k] if n > k else 0 for n in range(n_max + 1)]
+        falling = [math.perm(n - 1, k) if n else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[k][: n_max + 1]
         for _ in range(done, r):
             low, row = row, [1] + [0] * n_max
@@ -219,13 +213,12 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     rank r-1 table held at a size >= n_max.  The column k = 0,
     v_r(0, n) = n!, is not held.
     """
-    fact = [math.factorial(i) for i in range(n_max + 1)]
     cycles = [_stirling(0, n_max)]
     for q in range(1, r + 1):
         cycles.append(_stirling(q, n_max, cycles[-1]))
     rows = []
     for t in range(_top_threshold(n_max, r, Side.SMALLEST) + 1):
-        falling = [fact[n - 1] // fact[n - 1 - t] if n > t else 0 for n in range(n_max + 1)]
+        falling = [math.perm(n - 1, t) if n else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[t][: n_max + 1]
         for q in range(1 if lower is None else r, r + 1):
             low, row = row, [1 if q == 1 else 0] + [0] * n_max
@@ -311,7 +304,7 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     sizes 0, 1, 2, ... in order from 0.0 at every table width.  The
     correction D_q[k, n] = delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ...,
     1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_{r-1} are built
-    once from the harmonic sums (_elementary) and row n of D_q is a
+    once by their one-value recurrence (_elementary) and row n of D_q is a
     reversed view of a slice of one of them; no D table is held.  Ranks
     run from q = 1 over the all-zero rank 0, or rank r alone from lower, a
     rank r-1 table held at a size >= n_max, read in place through its own
@@ -319,9 +312,9 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     the bits the ranks below r would give.  So a warm build holds only the
     table it returns, and a cold one also the rank below: each rank's table
     is allocated after the rank two below it is dropped.  Besides them, e
-    and the power sums hold r rows of n_max + 1 each.  Each step writes
-    through out= ufuncs into the table's row and one scratch row, and
-    allocates no array memory.
+    holds r rows of n_max + 1 each.  Each step writes through out= ufuncs
+    into the table's row and one scratch row, and allocates no array
+    memory.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.

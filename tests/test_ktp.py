@@ -54,8 +54,8 @@ def harmonic_e(q: int, m: int) -> Fraction:
     """e_q(1, 1/2, ..., 1/m), from the power sums harmonic(m, i) by Newton's identities.
 
     j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i.  delta multiplies Stirling
-    numbers instead, so (n-1)! e_{r-1}(1, ..., 1/(n-k)) is an independent
-    form of it.
+    numbers instead, and ktp._elementary adds one value at a time, so
+    (n-1)! e_{r-1}(1, ..., 1/(n-k)) is an independent form of both.
     """
     p = {i: harmonic(m, i) for i in range(1, q + 1)}
     e = [Fraction(1)]
@@ -254,16 +254,15 @@ def test_delta_obeys_its_defining_recursion() -> None:
 
 def test_float_correction_rows_match_delta() -> None:
     # row n of D_q in _v_norm reads e_{q-1}[n-k]/n, which must be delta(q, k, n)/n!
+    # the recurrence adds positive terms only, so every cell keeps its
+    # relative accuracy, the smallest included: e_39 of 39 values is 1/39!
     n_max = 200
-    e = ktp._elementary(n_max, 7)
-    for q in range(2, 9):
-        # Newton's alternating sums lose most where e_{q-1} is smallest: e_7
-        # of seven values, 1/7!, is off by 1.6e-13 relative (6e-16 absolute)
-        bound = 1e-13 if q <= 4 else 1e-12
+    e = ktp._elementary(n_max, 39)
+    for q in (*range(2, 9), 20, 40):
         for n in range(q, n_max + 1):
             for k in range(1, n - q + 2):  # the cells the recursion reads
                 want = delta(q, k, n) / math.factorial(n)
-                assert abs(e[q - 1, n - k] / n - want) <= bound * want, (q, k, n)
+                assert abs(e[q - 1, n - k] / n - want) <= 4e-15 * want, (q, k, n)
 
 
 def test_stirling_and_delta_do_not_recurse_deeply(monkeypatch) -> None:
@@ -763,9 +762,10 @@ def test_conjectural_recursion_matches_proven_chain_at_published_size() -> None:
             assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12, (n, r)
 
 
-def test_float_recursion_takes_overflowing_power_sums_silently() -> None:
-    # rank 150 reads e_149, whose power sum p_149 holds j^149 = inf from
-    # j = 118: 1/j^i is taken as 0.0, with no RuntimeWarning
+def test_float_recursion_serves_high_ranks_silently() -> None:
+    # rank 150 reads e_1..e_149, whose smallest cell, e_149 of 149 values,
+    # is 1/149! ~ 2.6e-261: the table builds with no RuntimeWarning and
+    # matches the proven chain
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         conjectural = pmf_from_tables_float(150, 300, S).probs
