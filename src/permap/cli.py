@@ -12,8 +12,9 @@ production engine.  ktp-float checks the conjectural shortest-side
 recursion against it: its largest side is exact-float itself.  exact,
 ktp and oracle are verification routes.
 
-Output formats: text (display rounding: means/variances to 6 decimals,
-scaled medians/modes to 4), csv (full precision, fixed ASCII header
+Output formats: text (display rounding: table means/variances to --digits
+decimals, 6 by default, scaled medians/modes to 4; constants to --digits
+significant digits, 20 by default), csv (full precision, fixed ASCII header
 names), json (full precision, keyed identically to the csv header; the
 smallest side's nan mean and variance at n = 1 are written null).  A
 table whose printed columns come from the conjectural shortest-side
@@ -24,7 +25,8 @@ Exit codes: 0 success; 1 verification failure; 2 configuration error:
 an argument the parser rejects (such as a negative --digits), a request
 the chosen engine does not serve (a mapping asked of a ktp engine, or a
 ValueError from the library, such as an --n past the oracle's enumeration
-budget), an --output path that cannot be written (checked up front), or a
+budget), an --output path that cannot be written (checked up front, and
+refused the same way when the write itself fails), or a
 request too large for the memory at hand (MemoryError); 3 a precision
 guard failed (PrecisionError: a float engine's mass-sum or probability-range
 check, or a quadrature error above its tolerance).
@@ -321,12 +323,15 @@ def _parser() -> argparse.ArgumentParser:
         "production engine: exact-float; conjecture check: ktp-float; "
         "verification routes: exact, ktp, oracle"))
     table.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    table.add_argument("--digits", type=_digits, default=6)
+    table.add_argument("--digits", type=_digits, default=6, help=(
+        "text format: decimal places of the mean and variance (mu, sigma2) "
+        "columns; medians and modes keep 4 (default 6)"))
     table.add_argument("--output", metavar="PATH")
 
     consts = sub.add_parser("constants", help="limit constants")
     consts.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    consts.add_argument("--digits", type=_digits, default=20)
+    consts.add_argument("--digits", type=_digits, default=20, help=(
+        "text format: significant digits of each value (default 20)"))
     consts.add_argument("--output", metavar="PATH")
 
     verify = sub.add_parser("verify", help="cross-engine verification suites")

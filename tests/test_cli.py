@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 
 import pytest
 
-from permap import asymptotics, exact, ktp
+from permap import asymptotics, cli, exact, ktp
 from permap.cli import _ENGINES, main
 from reference_tables import PERM_STATS, PERM_STATS_ERRATA, STATS_TOL
 
@@ -94,6 +96,14 @@ def test_table_text_rounding(capsys) -> None:
     assert code == 0
     assert "0.218750" in out  # six decimals for means
     assert "0.2500" in out  # four for scaled modes
+    # --digits sets the decimal places of the mu and sigma2 columns alone
+    code, out, _ = run(capsys, "table", "--kind", "permute", "--rank", "2",
+                       "--n", "4", "--engine", "oracle", "--digits", "3")
+    assert code == 0
+    head, row = (line.split() for line in out.splitlines())
+    assert dict(zip(head, row)) == {"n": "4", "L_mu_norm": "0.219", "L_sigma2_norm": "0.022",
+                                    "L_nu_norm": "0.0000", "L_theta_norm": "0.2500",
+                                    "S_mu_norm": "0.802", "S_sigma2_norm": "0.255"}
 
 
 def test_table_engines_agree(capsys) -> None:
@@ -264,6 +274,11 @@ def test_constants_text_and_csv(capsys) -> None:
     code, out, _ = run(capsys, "constants")
     assert code == 0
     assert "x_0" in out and "xi_2" in out
+    # --digits sets the significant digits of each value
+    code, out, _ = run(capsys, "constants", "--digits", "3")
+    assert code == 0
+    values = dict(line.split()[:2] for line in out.splitlines())
+    assert values["LG_1(2,1)"] == "0.21" and values["x_0"] == "0.235"
     code, out, _ = run(capsys, "constants", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -311,7 +326,7 @@ def test_verify_text_output(capsys) -> None:
 # config errors (distinct exit code)
 
 
-def test_config_error_exit_codes(capsys, tmp_path) -> None:
+def test_config_error_exit_codes(capsys, monkeypatch, tmp_path) -> None:
     unwritable = str(tmp_path / "missing" / "x.txt")
     cases = [
         ("table", "--kind", "map", "--rank", "2", "--n", "5", "--engine", "ktp"),
@@ -329,14 +344,31 @@ def test_config_error_exit_codes(capsys, tmp_path) -> None:
         assert err.startswith("error:") and out == ""
         if "--output" in argv:
             assert err.startswith(f"error: cannot write {unwritable}: ") and "Traceback" not in err
+    # passes the up-front check, then fails as it writes: /dev/full, or a
+    # file whose open is made to fail the same way where /dev/full cannot
+    # be written
+    full = "/dev/full"
+    if not (os.access(full, os.W_OK) and os.access(os.path.dirname(full), os.W_OK)):
+        full = str(tmp_path / "full.txt")
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(cli, "open", no_space, raising=False)
+    code, out, err = run(capsys, "constants", "--output", full)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {full}: No space left on device\n"
     # rejected by the parser, which exits 2 itself
     negative_digits = "error: argument --digits: digits must be >= 0"
     no_sizes = "error: argument --n: bad integer list: ','"
     for argv, message in (
         (("table", "--kind", "permute", "--n", "5", "--digits", "-1"), negative_digits),
         (("constants", "--digits", "-1"), negative_digits),
+        (("table", "--kind", "permute", "--n", "5", "--digits", "x"),
+         "error: argument --digits: bad digit count: 'x'"),
         (("table", "--kind", "permute", "--n", ",", "--engine", "ktp-float"), no_sizes),
         (("table", "--kind", "permute", "--n", ",", "--engine", "exact"), no_sizes),
+        (("table", "--kind", "permute", "--n", "5,a"),
+         "error: argument --n: bad integer list: '5,a'"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
