@@ -1,7 +1,10 @@
 """Three independent computation routes produce identical integers.
 
-1. rank-window polynomials: march a window of component sizes through the
-   object, promoting/demoting as sizes enter and leave the tracked range;
+1. rank-window polynomials: build the object one component at a time,
+   keeping a window of the r largest (or smallest) sizes so far; each new
+   size is inserted and the entry it displaces dropped, and every state is
+   made canonical, dropping the entries that can no longer move, so that
+   ranks share memo rows;
 2. cumulative cycle-count recursions (Knuth/Trabb Pardo style): count
    permutations whose r-th longest cycle is <= k (proved) or whose r-th
    shortest is >= k (conjectural for r >= 2, with a correction term);
@@ -15,7 +18,9 @@ c(m+1, r) = m! e_{r-1}(1, ..., 1/m) that is an unsigned Stirling cycle
 number scaled by a falling factorial, Delta_r(k, n) = (n-1)!/(n-k)! c(n-k+1, r);
 at k = 1, Delta_r(1, n) = c(n, r).  The package computes Delta from that
 Stirling form; the demo checks it against the harmonic form, with e_q
-built from harmonic sums by Newton's identities.
+built in exact fractions from harmonic power sums by Newton's identities,
+a route of its own: the package's float tables build e_q by the one-value
+recurrence e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m instead.
 """
 
 import math
