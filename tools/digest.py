@@ -6,8 +6,10 @@ Prints one line per item, "<sha256>  <item>": the threshold-chain tables
 (exact._build_chain, both kinds and sides, ranks 1..4, built cold from
 rank 0 and warm from a held rank r-1 table), the exact and float
 permutation tables (ktp._u_rows, ktp._v_rows and ktp._v_norm, cold and
-warm), the public ktp tables and PMFs read through the store at ranks up
-to and past n + 1 (sizes asked in ascending and in descending order),
+warm), row 0 (the empty object) of each of those builders and of the
+Stirling columns at n_max = 0 and 3, ranks 1..4 and n_max + 1, the
+public ktp tables and PMFs read through the store at ranks up to and
+past n + 1 (sizes asked in ascending and in descending order),
 the smallest-side ktp PMFs at ranks 5..8 and every size up to 40, the
 Stirling cycle numbers c(n, k) for n <= 200 and k <= 5 (asked in
 ascending and in descending n), the summaries (stats.summarize) of the
@@ -52,6 +54,8 @@ CHAIN_SIZES = {ObjectKind.PERMUTATION: (1, 2, 3, 5, 37, 200, 1500),
                ObjectKind.MAPPING: (1, 2, 3, 5, 37, 200, 400)}
 V_NORM_SIZES = (1, 2, 3, 5, 37, 200, 1500)
 EXACT_SIZES = (0, 1, 2, 3, 5, 37, 120)
+# builds whose row 0, the empty object, is hashed, at ranks 1..4 and n_max + 1
+ROW_ZERO_SIZES = (0, 3)
 # sizes of the store reads; each is asked at ranks 1..4 and past n + 1
 STORE_SIZES = (0, 1, 2, 3, 5, 20)
 # the smallest-side ktp PMFs past the paper's ranks, at every size 1..top
@@ -124,6 +128,20 @@ def exact_table_lines() -> list[str]:
     return [line for build in (ktp._u_rows, ktp._v_rows)
             for line in _cold_warm(build.__name__, build, EXACT_SIZES,
                                    lambda rows: hashlib.sha256(repr(rows).encode()).hexdigest())]
+
+
+def row_zero_lines() -> list[str]:
+    got = []
+    for n in ROW_ZERO_SIZES:
+        for r in (*RANKS, n + 1):
+            for kind in ObjectKind:
+                for side in Side:
+                    table, tau = exact._build_chain(kind, side, r, n)
+                    got.append((table[0].tolist(), tau[0].item()))
+            got += [[column[0] for column in build(r, n)] for build in (ktp._u_rows, ktp._v_rows)]
+            got += [ktp._v_norm(r, n)[0].tolist(), ktp._stirling(r, n)[0]]
+    return [f"{hashlib.sha256(repr(got).encode()).hexdigest()}  row 0 of every builder "
+            f"n_max={','.join(map(str, ROW_ZERO_SIZES))} r=1..4,n_max+1"]
 
 
 # each public read of the store
@@ -231,8 +249,8 @@ def command_lines() -> list[str]:
 
 
 def main() -> int:
-    for group in (chain_lines, v_norm_lines, exact_table_lines, store_lines, stirling_lines,
-                  summary_lines, window_lines, dickman_lines, command_lines):
+    for group in (chain_lines, v_norm_lines, exact_table_lines, row_zero_lines, store_lines,
+                  stirling_lines, summary_lines, window_lines, dickman_lines, command_lines):
         for line in group():
             print(line, flush=True)
     return 0
