@@ -7,7 +7,8 @@
    ranks share memo rows;
 2. cumulative cycle-count recursions (Knuth/Trabb Pardo style): count
    permutations whose r-th longest cycle is <= k (proved) or whose r-th
-   shortest is >= k (conjectural for r >= 2, with a correction term);
+   shortest is >= k (with a correction term at every rank; flagged
+   conjectural for r >= 2);
 3. brute force: decompose every single object.
 
 The first two run on exact big integers, so agreement is exact equality,

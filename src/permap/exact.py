@@ -485,10 +485,8 @@ def _stored(build, args: tuple, n: int):
     alone: an object of size m <= n has at most n components, so its r-th
     largest and r-th smallest sizes are 0 for every r > n, as is c(m, r),
     and rows 0..n of a table are the same at every rank past n + 1.  So
-    the store serves rank r from the table of rank min(r, max(n, 1) + 1)
-    and keeps none past it.  The floor is rank 2 at n = 0, where rank 1
-    alone differs: ktp's shortest-side counts hold v_1(k, 0) = 1, the base
-    case of their recursion, where every higher rank holds 0.
+    the store serves rank r from the table of rank min(r, n + 1) and keeps
+    none past it.
 
     Every table's thresholds are derived from its rank and n_max
     (_top_threshold), so one held size fixes the whole table.  A stored
@@ -502,7 +500,7 @@ def _stored(build, args: tuple, n: int):
     call whose size is known up front.
     """
     *head, r = args
-    r = min(r, max(n, 1) + 1)
+    r = min(r, n + 1)
     key = (build, *head, r)
     held, table = _TABLES.get(key, (-1, None))  # -1: nothing held
     if n <= held:

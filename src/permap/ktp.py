@@ -14,36 +14,32 @@ the largest possible digest _top_threshold(n_max, r, side): column t of
 u_r is k = t (fewer than r cycles longer than t), and column t of v_r is
 k = t + 1 (r-th shortest longer than t).  So v_r(0, n) = n!, which
 nothing reads, is not stored; shortest_table puts that row back.  The
-n = 0 cells of rank 1 break the fewer-than-r rule above: v_1(k, 0) = 1
-for every k >= 1, the recursion's base case (the empty permutation has no
-cycle shorter than k), where the rule gives 0, as v_r(k, 0) is for
-r >= 2.  No PMF reads n = 0.
+empty permutation has fewer than r cycles at every rank, so v_r(k, 0) = 0
+for every k >= 1, as the window recursion also counts it.
 
-u_r obeys a proven recursion.  v_r (r >= 2) obeys a recursion with an
-additive correction term, delta (see _v_rows): proven; flag kept pending
-the north-star update, so every table derived from it is still flagged
-conjectural.  The proof: let A_r(k, n) count the n-permutations with
-fewer than r cycles of size < k, and B_r(n) those with fewer than r
-cycles in all, so that v_r(k, n) = A_r(k, n) - B_r(n) for n >= 1.  Split
-by the cycle through element n, of size m + 1, in F(n, m) =
-(n-1)!/(n-1-m)! ways.  A_r obeys the defining sum of v_r without the
-correction, and B_r(n) = sum_m F(n, m) B_{r-1}(n-1-m), with A_0 = B_0 = 0
-and A_r(k, 0) = B_r(0) = 1.  Subtracting, A_r - B_r obeys that sum with
-the correction sum_{m >= k-1} F(n, m) [B_r - B_{r-1}](n-1-m) =
-sum_{j=0}^{n-k} (n-1)!/j! c(j, r-1), since B_r - B_{r-1} counts the
+u_r obeys a proven recursion.  v_r obeys, at every rank, a recursion
+with an additive correction term, delta (see _v_rows): proven; flag kept
+pending the north-star update, so every table derived from it at r >= 2
+is still flagged conjectural.  The proof: let A_r(k, n) count the
+n-permutations with fewer than r cycles of size < k, and B_r(n) those
+with fewer than r cycles in all, so that v_r(k, n) = A_r(k, n) - B_r(n),
+0 at n = 0.  Split by the cycle through element n, of size m + 1, in
+F(n, m) = (n-1)!/(n-1-m)! ways.  A_r obeys the defining sum of v_r
+without the correction, and B_r(n) = sum_m F(n, m) B_{r-1}(n-1-m), with
+A_0 = B_0 = 0 and A_r(k, 0) = B_r(0) = 1.  Subtracting, A_r - B_r obeys
+that sum with the correction sum_{m >= k-1} F(n, m) [B_r - B_{r-1}](n-1-m)
+= sum_{j=0}^{n-k} (n-1)!/j! c(j, r-1), since B_r - B_{r-1} counts the
 permutations with exactly r - 1 cycles; c is the Stirling cycle number.
 That is (n-1)!/(n-k)! c(n-k+1, r) = delta_r(k, n), by the identity
 c(N+1, r) = sum_{j=0}^{N} N!/j! c(j, r-1) (Graham, Knuth and Patashnik,
 Concrete Mathematics, ch. 6), the same split of an (N+1)-permutation by
-the cycle through N + 1.  Mind n = 0, where A_r - B_r is 0 but v_1(k, 0)
-= 1: at r = 1 that cell stands in for the correction, whose one term
-j = 0 is (n-1)!, so delta_1 = 0; from r = 2 on the sums read rank r-1
-only at sizes >= 1, and rank r at size 0, where v_r(k, 0) = 0 (_v_rows).
-The correction has two closed forms (see delta), and each route takes
-its own: the exact tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r),
-and the float tables use (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q built
-one value at a time by e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m, so that the
-two routes check each other.
+the cycle through N + 1.  At r = 1 its one term, at j = 0, counts the
+single n-cycles: delta_1(k, n) = (n-1)! for k <= n.  The correction has
+two closed forms (see delta), and each route takes its own: the exact
+tables multiply integers, (n-1)!/(n-k)! c(n-k+1, r), and the float tables
+use (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), e_q built one value at a time
+by e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m, so that the two routes check each
+other.
 
 Every route here verifies exact.pmf_float, the one production engine.
 The exact tables are built by the three-term recurrences that their
@@ -116,7 +112,7 @@ def stirling_cycle(n: int, k: int) -> int:
     """Number c(n, k) of n-permutations with exactly k cycles, for every k >= 0.
 
     Column k lives in exact's store, whose rank rule serves c(n, k) = 0
-    for k > n from column n + 1 (column 2 at n = 0).
+    for k > n from column n + 1, c(0, k) from column 1.
     """
     n, k = whole(n, 0, "stirling_cycle: size n"), whole(k, 0, "stirling_cycle: cycles k")
     return exact._stored(_stirling, (k,), n)[n]
@@ -140,13 +136,14 @@ def _elementary(n_max: int, q_max: int) -> np.ndarray:
 
 
 def delta(r: int, k: int, n: int) -> int:
-    """Correction term of the shortest-side recursion, an integer.
+    """Correction term of the shortest-side recursion at rank r >= 1, an integer.
 
     delta(r, k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)) for k <= n, e_q
-    the elementary symmetric polynomial, and 0 for k > n.  The defining
-    recursion delta_r(k) = delta_r(k-1) - delta_{r-1}(k)/(n-k+1), from the
-    head delta_r(1, n), telescopes to it, because adding 1/m to the set
-    gives e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m.  Since c(m+1, r) =
+    the elementary symmetric polynomial, and 0 for k > n; e_0 = 1 makes
+    delta_1 = (n-1)!, the single n-cycles.  The defining recursion
+    delta_r(k) = delta_r(k-1) - delta_{r-1}(k)/(n-k+1), from the head
+    delta_r(1, n), telescopes to it, because adding 1/m to the set gives
+    e_q(m) = e_q(m-1) + e_{q-1}(m-1)/m.  Since c(m+1, r) =
     m! e_{r-1}(1, ..., 1/m), this is (n-1)!/(n-k)! c(n-k+1, r), which is
     how it is computed, in integers; at k = 1 it is the Stirling cycle
     number c(n, r).  It is the correction that the proof in the module
@@ -154,7 +151,7 @@ def delta(r: int, k: int, n: int) -> int:
     size n - j >= k of the cycle through element n, is (n-1)!/(n-k)! times
     c(N+1, r) = sum_{j=0}^{N} N!/j! c(j, r-1) at N = n - k.
     """
-    r = whole(r, 2, "delta: rank r")
+    r = whole(r, 1, "delta: rank r")
     k, n = whole(k, 1, "delta: threshold k"), whole(n, 1, "delta: size n")
     if k > n:
         return 0
@@ -193,25 +190,20 @@ def _u_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
 def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
     """v_r by columns t = 0..max(n_max-r+1, 0): column t holds v_r(t+1, n).
 
-    v_0 = delta_1 = 0 and F is as in _u_rows.  The defining sum v_r(k, n)
-    = delta_r(k, n) + sum_{m<k-1} F(n, m) v_{r-1}(k, n-1-m) +
+    v_0 = 0 and F is as in _u_rows.  The defining sum v_r(k, n) =
+    delta_r(k, n) + sum_{m<k-1} F(n, m) v_{r-1}(k, n-1-m) +
     sum_{k-1<=m<n} F(n, m) v_r(k, n-1-m) gives the cells n >= k + r - 1
-    (others hold 0, or 1 at r = 1, n = 0).  It is proven (module
-    docstring): for n >= 1, v_r = A_r - B_r, and at these cells, n - 1 - m
-    >= n - k + 1 >= r in the first sum, so rank r-1 is read only at sizes
-    >= 1, where it is A_{r-1} - B_{r-1}; the second sum reads rank r at
-    size 0, where v_r(k, 0) = 0 = A_r - B_r for r >= 2.  At r = 1 the cell
-    v_1(k, 0) = 1 reads as the correction's one term, (n-1)! at m = n - 1,
-    and delta_1 = 0.  Less delta_r it is s, which telescopes as in
-    _u_rows; s starts at n = k + r - 1 from 0 because at n = k + r - 2
-    every term of the sum vanishes: delta_r(k, n) = F(n, k-1) c(n-k+1, r)
-    (see delta), and c(r-1, r) = 0 there; each table read is a zero cell.
-    Column t, k = t + 1, adds F(n, t) c(n-t, q) at rank q, in integers,
-    with the F(n, t) it already holds; the Stirling columns 0..r are built
-    here by _stirling, since a builder never calls the store.  Each column
-    runs ranks q = 1..r in turn, or rank r alone from column t of lower, a
-    rank r-1 table held at a size >= n_max.  The column k = 0,
-    v_r(0, n) = n!, is not held.
+    (others hold 0, n = 0 included).  It is proven at every rank (module
+    docstring): v_r = A_r - B_r at every size.  Less delta_r it is s,
+    which telescopes as in _u_rows; s starts at n = k + r - 1 from 0
+    because at n = k + r - 2 every term of the sum vanishes: delta_r(k, n)
+    = F(n, k-1) c(n-k+1, r) (see delta), and c(r-1, r) = 0 there; each
+    table read is a zero cell.  Column t, k = t + 1, adds F(n, t) c(n-t, q)
+    at rank q, in integers, with the F(n, t) it already holds; the
+    Stirling columns 0..r are built here by _stirling, since a builder
+    never calls the store.  Each column runs ranks q = 1..r in turn, or
+    rank r alone from column t of lower, a rank r-1 table held at a size
+    >= n_max.  The column k = 0, v_r(0, n) = n!, is not held.
     """
     cycles = [_stirling(0, n_max)]
     for q in range(1, r + 1):
@@ -221,11 +213,11 @@ def _v_rows(r: int, n_max: int, lower: list | None = None) -> list[list[int]]:
         falling = [math.perm(n - 1, t) if n else 0 for n in range(n_max + 1)]
         row = [0] * (n_max + 1) if lower is None else lower[t][: n_max + 1]
         for q in range(1 if lower is None else r, r + 1):
-            low, row = row, [1 if q == 1 else 0] + [0] * n_max
+            low, row = row, [0] * (n_max + 1)
             s = 0
             for n in range(t + q, n_max + 1):
                 s = (n - 1) * s + low[n - 1] + falling[n] * (row[n - 1 - t] - low[n - 1 - t])
-                row[n] = s + falling[n] * cycles[q][n - t] if q > 1 else s
+                row[n] = s + falling[n] * cycles[q][n - t]
         rows.append(row)
     return rows
 
@@ -256,19 +248,14 @@ def longest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
 def shortest_table(r: int, k_max: int, n_max: int) -> CycleCountTable:
     """Counts of n-permutations whose r-th shortest cycle is >= k.
 
-    Exact for r = 1; produced by the corrected recursion (flagged
-    conjectural) for every rank r >= 2.  Row k = 0 counts all n!
-    permutations and is not stored; row k >= 1 is the stored column t =
-    k - 1.  At n = 0, rank 1 counts the empty permutation in every row (it
-    has no cycle shorter than k), where every higher rank counts 0 from
-    k = 1 on: the base case of the recursion, not the fewer-than-r rule of
-    the module docstring.  No PMF reads n = 0.
+    Produced by the corrected recursion at every rank, and flagged
+    conjectural for r >= 2.  Row k = 0 counts all n! permutations and is
+    not stored; row k >= 1 is the stored column t = k - 1.
     """
     whole(r, 1, "shortest_table: rank r")
-    # the last column, t = max(held n - r + 1, 0), is 0 at every n >= 1: no
+    # the last column, t = max(held n - r + 1, 0), is 0 at every n: no
     # n-permutation has an r-th shortest cycle longer than n - r + 1 <= t, and
-    # the fewer-than-r digest 0 is not either; the n = 0 cell is the same in
-    # every column
+    # the fewer-than-r digest 0 is not either
     counts = _stored_rows(_v_rows, r, 1, k_max, n_max)
     fact = tuple(math.factorial(n) for n in range(n_max + 1))
     return CycleCountTable(r, Side.SMALLEST, k_max, n_max, (fact,) + counts, conjectural=r > 1)
@@ -302,10 +289,11 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     that one add a step advances, by row n-1 or by its anti-diagonal read
     as one strided view (exact._add_anti_diagonal), so column t sums
     sizes 0, 1, 2, ... in order from 0.0 at every table width.  The
-    correction D_q[k, n] = delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ...,
-    1/(n-k))/n! = e_{q-1}[n-k]/n (see delta), so e_1..e_{r-1} are built
-    once by their one-value recurrence (_elementary) and row n of D_q is a
-    reversed view of a slice of one of them; no D table is held.  Ranks
+    correction delta(q, k, n)/n! is (n-1)! e_{q-1}(1, ..., 1/(n-k))/n! =
+    e_{q-1}[n-k]/n (see delta), so it joins the sums before the one
+    division by n: e_0..e_{r-1} are built once by their one-value
+    recurrence (_elementary), and step n reads a reversed view of a slice
+    of one of them.  e_0 is all 1.0, so every rank runs the same step.  Ranks
     run from q = 1 over the all-zero rank 0, or rank r alone from lower, a
     rank r-1 table held at a size >= n_max, read in place through its own
     width and never written, whose rows and columns up to this table's are
@@ -313,20 +301,17 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
     table it returns, and a cold one also the rank below: each rank's table
     is allocated after the rank two below it is dropped.  Besides them, e
     holds r rows of n_max + 1 each.  Each step writes through out= ufuncs
-    into the table's row and one scratch row, and allocates no array
-    memory.
+    into the table's row, and allocates no array memory.
 
     Kept apart from the threshold-chain kernel in exact: it is the route
     that the proven chain validates.
     """
     width = _top_threshold(n_max, r, Side.SMALLEST) + 1
     e = _elementary(n_max, r - 1)
-    d = np.empty(width)  # D_q[t+1, n] for t < end
     z = lower  # the rank below; None before rank 1
     for q in range(1 if lower is None else r, r + 1):
         below = z  # drops rank q - 2 before rank q is allocated
         z = np.zeros((n_max + 1, width))
-        z[0] = 1.0 if q == 1 else 0.0  # the empty permutation
         diag, below_row, below_diag = np.zeros((3, width))
         for n in range(1, n_max + 1):
             k = min(n, width)  # columns t < n: cell [n-1-t, t] exists
@@ -335,15 +320,12 @@ def _v_norm(r: int, n_max: int, lower: np.ndarray | None = None) -> np.ndarray:
                 below_row += below[n - 1, :width]
                 exact._add_anti_diagonal(below_diag, below, n - 1, k)
             end = min(_top_threshold(n, q, Side.SMALLEST), width)
-            cell = z[n, :end]
-            if q == 1:
-                np.divide(diag[:end], n, out=cell)
-            elif end:  # (below_row - below_diag + diag) / n + D_q[t+1, n]
-                np.divide(e[q - 1, n - end : n][::-1], n, out=d[:end])
+            if end:  # (below_row - below_diag + diag + e_{q-1}[n-1-t]) / n
+                cell = z[n, :end]
                 np.subtract(below_row[:end], below_diag[:end], out=cell)
                 cell += diag[:end]
+                cell += e[q - 1, n - end : n][::-1]
                 cell /= n
-                cell += d[:end]
     return z
 
 

@@ -468,19 +468,19 @@ def _store_reads(kind: ObjectKind, side: Side) -> dict:
 def test_ranks_past_n_plus_one_read_the_rank_n_plus_one_table(monkeypatch, kind, side) -> None:
     # an n-object has at most n components, so every rank past n + 1 has the
     # rank n + 1 PMF and table rows, and is served from that table: no key
-    # is added.  At n = 0 that is rank 2, since the shortest-side counts of
-    # rank 1 hold the recursion's base case 1 where rank 2 holds 0
+    # is added.  At n = 0 that is rank 1: the empty object has fewer than r
+    # components at every rank
     for name, (read, sizes) in _store_reads(kind, side).items():
         for n in sizes:
             monkeypatch.setattr(exact, "_TABLES", {})
-            base = max(n, 1) + 1
+            base = n + 1
             want = read(base, n)
             keys = set(exact._TABLES)
             for r in (base + 1, base + 6, 10**6):
                 assert read(r, n) == want, (name, n, r)
             assert set(exact._TABLES) == keys, (name, n)
     if kind is P and side is S:
-        assert ktp.shortest_table(1, 1, 0).counts != ktp.shortest_table(2, 1, 0).counts
+        assert ktp.shortest_table(1, 1, 0).counts == ktp.shortest_table(2, 1, 0).counts
 
 
 def test_chain_from_the_rank_below_is_the_cold_chain_bit_for_bit() -> None:

@@ -136,11 +136,24 @@ def test_v_boundaries_and_monotonicity() -> None:
                 value = table.counts[k][n]
                 assert 0 <= value <= bound
                 assert value <= prev
-                # k=0 is the all-objects column (n!) even at n=0, and rank 1
-                # keeps the all-ones empty-product column at n=0
-                if k > max(n - r + 1, 0) and not (r == 1 and n == 0):
+                if k > max(n - r + 1, 0):
                     assert value == 0
                 prev = value
+
+
+def test_tables_at_n_zero_follow_the_window_recursion(monkeypatch) -> None:
+    # the empty permutation has fewer than r cycles at every rank, so its
+    # r-th shortest and r-th longest cycle have size 0, the window
+    # recursion's digest: it counts in row k = 0 of v_r alone, and in every
+    # row of u_r
+    monkeypatch.setattr(exact, "_TABLES", {})
+    for r in range(1, 5):
+        smallest = exact.smallest_poly(P, 0, (exact.INFINITY,) * r).coeffs
+        largest = exact.largest_poly(P, 0, (0,) * r).coeffs
+        for k in range(4):
+            assert shortest_table(r, 3, 0).counts[k][0] == sum(smallest[k:]), (r, k)
+            assert longest_table(r, 3, 0).counts[k][0] == sum(largest[: k + 1]), (r, k)
+        assert not ktp._v_norm(r, 5)[0].any(), r
 
 
 def _falling(n, m):
@@ -176,23 +189,20 @@ def _sum_form_u(r, k_max, n_max):
 
 
 def _sum_form_v(r, k_max, n_max):
-    # v_r by its defining sum plus the correction term, O(n) products per cell
-    fact = [math.factorial(i) for i in range(n_max + 1)]
-    prev = _sum_form_v(r - 1, k_max, n_max) if r > 1 else None
+    # v_r by its defining sum plus the correction term, O(n) products per
+    # cell, from v_0 = 0; v_r(k, 0) = 0 for k >= 1 at every rank
     rows = [[0] * (n_max + 1) for _ in range(k_max + 1)]
-    rows[0] = fact[:]
-    for k in range(1, k_max + 1):
-        rows[k][0] = 1 if r == 1 else 0
+    if r == 0:
+        return rows
+    prev = _sum_form_v(r - 1, k_max, n_max)
+    rows[0] = [math.factorial(i) for i in range(n_max + 1)]
     for n in range(1, n_max + 1):
         ff = _falling(n, n - 1)
-        hi = n if r == 1 else n - r + 1
-        for k in range(1, min(hi, k_max) + 1):
-            row = rows[k]
-            acc = 0 if r == 1 else delta(r, k, n)
-            if r > 1:
-                pk = prev[k]
-                for m in range(k - 1):
-                    acc += ff[m] * pk[n - 1 - m]
+        for k in range(1, min(n - r + 1, k_max) + 1):
+            row, pk = rows[k], prev[k]
+            acc = delta(r, k, n)
+            for m in range(k - 1):
+                acc += ff[m] * pk[n - 1 - m]
             for m in range(k - 1, n):
                 acc += ff[m] * row[n - 1 - m]
             row[n] = acc
@@ -227,14 +237,14 @@ def test_delta_closed_form_second_rank() -> None:
 
 def test_delta_matches_stirling_at_k_one() -> None:
     # delta(r, 1, n) = c(n, r) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-1))
-    for r in (2, 3, 4):
+    for r in (1, 2, 3, 4):
         for n in range(r, 61):
             assert delta(r, 1, n) == math.factorial(n - 1) * harmonic_e(r - 1, n - 1)
 
 
 def test_delta_is_the_harmonic_form_at_every_k() -> None:
     # delta(r, k, n) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-k)), and 0 past k = n
-    for r in (2, 3, 4):
+    for r in (1, 2, 3, 4):
         for n in range(1, 81):
             for k in range(1, n + 1):
                 want = math.factorial(n - 1) * harmonic_e(r - 1, n - k)
@@ -253,12 +263,13 @@ def test_delta_obeys_its_defining_recursion() -> None:
 
 
 def test_float_correction_rows_match_delta() -> None:
-    # row n of D_q in _v_norm reads e_{q-1}[n-k]/n, which must be delta(q, k, n)/n!
-    # the recurrence adds positive terms only, so every cell keeps its
-    # relative accuracy, the smallest included: e_39 of 39 values is 1/39!
+    # step n of rank q in _v_norm reads e_{q-1}[n-k]/n, which must be
+    # delta(q, k, n)/n!, at rank 1 too, where e_0 = 1; the recurrence adds
+    # positive terms only, so every cell keeps its relative accuracy, the
+    # smallest included: e_39 of 39 values is 1/39!
     n_max = 200
     e = ktp._elementary(n_max, 39)
-    for q in (*range(2, 9), 20, 40):
+    for q in (*range(1, 9), 20, 40):
         for n in range(q, n_max + 1):
             for k in range(1, n - q + 2):  # the cells the recursion reads
                 want = delta(q, k, n) / math.factorial(n)
@@ -275,8 +286,11 @@ def test_stirling_and_delta_do_not_recurse_deeply(monkeypatch) -> None:
 
 def test_delta_rejects_unsupported_ranks() -> None:
     with pytest.raises(ValueError):
-        delta(1, 1, 5)
-    # every rank r >= 2 is served: at k = 1 delta is c(n, r)
+        delta(0, 1, 5)
+    # every rank r >= 1 is served: at rank 1, the single n-cycles, and at
+    # k = 1, c(n, r)
+    for n in range(1, 9):
+        assert [delta(1, k, n) for k in range(1, n + 2)] == [math.factorial(n - 1)] * n + [0]
     assert delta(5, 1, 5) == 1
     assert delta(9, 1, 12) == stirling_cycle(12, 9)
 
@@ -322,9 +336,10 @@ def _local_stirling(n_max: int, k_max: int) -> list[list[int]]:
 def test_correction_is_the_stirling_sum_of_the_proof() -> None:
     # the proof in ktp's docstring: the correction sum_{j=0}^{n-k} (n-1)!/j!
     # c(j, r-1), over the cycles through element n of size n - j >= k,
-    # equals (n-1)!/(n-k)! c(n-k+1, r) at every rank, and delta through rank 4
+    # equals (n-1)!/(n-k)! c(n-k+1, r) at every rank, and delta through rank
+    # 4; at rank 1 only the term j = 0 is nonzero, c(0, 0) = 1
     c = _local_stirling(151, 8)
-    for r in range(2, 9):
+    for r in range(1, 9):
         for n in range(1, 151):
             fall = math.factorial(n - 1)
             total = 0
@@ -348,7 +363,7 @@ def test_shortest_counts_past_rank_four_match_the_window_recursion(r, top) -> No
 
 
 @pytest.mark.parametrize("call, name, outside", [
-    (lambda v: delta(v, 1, 4), "rank r", (1,)),
+    (lambda v: delta(v, 1, 4), "rank r", (0,)),
     (lambda v: delta(2, v, 4), "threshold k", (0,)),
     (lambda v: delta(2, 1, v), "size n", (0,)),
     (lambda v: stirling_cycle(v, 2), "size n", (-1,)),
@@ -774,40 +789,28 @@ def test_float_recursion_serves_high_ranks_silently() -> None:
     assert max(abs(a - b) for a, b in zip(proven, conjectural)) <= 1e-12
 
 
-def _column_major_delta_norm(r, k_max, n_max):
-    # the float correction table D[k, n] = delta(r, k, n)/n! = e_{r-1}[n-k]/n, in full
-    e = ktp._elementary(n_max, r - 1)[r - 1]
-    D = np.zeros((k_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        kk = np.arange(1, min(n, k_max) + 1)
-        D[kk, n] = e[n - kk] / n
-    return D
-
-
 def _column_major_v_norm(r, k_max, n_max):
-    # the shortest-side float recursion on C-order [k, n] tables, one column per step
+    # the shortest-side float recursion on C-order [k, n] tables, one column
+    # per step, from the all-zero rank 0; the correction delta(q, k, n)/n! is
+    # e_{q-1}[n-k]/n
     ks = np.arange(k_max + 1)
-    cum_prev = D = Z = None
+    e = ktp._elementary(n_max, r - 1)
+    cum = np.zeros((k_max + 1, n_max + 2))  # rank 0's running sums
     for q in range(1, r + 1):
-        D = _column_major_delta_norm(q, k_max, n_max) if q >= 2 else None
+        cum_prev = cum
         Z = np.zeros((k_max + 1, n_max + 1))
         cum = np.zeros((k_max + 1, n_max + 2))
-        Z[:, 0] = 1.0 if q == 1 else 0.0
         Z[0, :] = 1.0
         cum[:, 1] = Z[:, 0]
         for n in range(1, n_max + 1):
-            t = min(n if q == 1 else n - q + 1, k_max)
+            t = min(n - q + 1, k_max)
             col = Z[:, n]
             if t >= 1:
                 kk = ks[1 : t + 1]
                 idx = n - kk + 1
                 own = cum[kk, idx]
-                if q == 1:
-                    col[1 : t + 1] = own / n
-                else:
-                    col[1 : t + 1] = D[kk, n] + (cum_prev[kk, n] - cum_prev[kk, idx] + own) / n
+                col[1 : t + 1] = (cum_prev[kk, n] - cum_prev[kk, idx] + own + e[q - 1, n - kk]) / n
             cum[:, n + 1] = cum[:, n] + col
-        cum_prev = cum
     return Z
 
 

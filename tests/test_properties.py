@@ -92,7 +92,7 @@ def test_float_engine_agreement_full_grid() -> None:
 def test_stirling_identity_to_200() -> None:
     # delta(r, 1, n) = c(n, r) = (n-1)! e_{r-1}(1, 1/2, ..., 1/(n-1)); delta
     # multiplies Stirling numbers, so it is checked against the harmonic form
-    for r in (2, 3, 4):
+    for r in (1, 2, 3, 4):
         for n in range(r, 201):
             assert delta(r, 1, n) == math.factorial(n - 1) * harmonic_e(r - 1, n - 1), (r, n)
 
